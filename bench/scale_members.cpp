@@ -34,9 +34,8 @@
 // --shards caps how many shards the areas spread over (default: one shard
 // per area, the legacy layout); fewer shards than workers is a
 // configuration error the sweep will show as zero speedup, not a crash.
-// --xarea-us adds an inter-site latency (one site per area), which both
-// slows cross-area hops and lets the engine widen its conservative window
-// beyond the base latency (adaptive lookahead, DESIGN.md 11.3).
+// --xarea-us adds an inter-site latency (one site per area), which slows
+// cross-area hops.
 //
 //   scale_members [--members=100000] [--areas=20] [--rounds=10]
 //                 [--workers=1,2,8] [--shards=0] [--xarea-us=0]
@@ -198,9 +197,7 @@ RunResult run_one(const Options& opt, unsigned workers, bool traced) {
     net.attach(area.hub);
     // One shard per area by default (shard 0 is left to drivers in the
     // full stack; the bench has no such node); --shards folds the areas
-    // onto a fixed shard count the way locality placement would. One site
-    // per area either way, so no site straddles shards and --xarea-us
-    // widens the lookahead instead of suppressing it.
+    // onto a fixed shard count. One site per area either way.
     std::size_t shard_slots = opt.shards > 0
                                   ? opt.shards
                                   : net::Network::kMaxShards - 1;
@@ -331,7 +328,7 @@ RunResult run_one(const Options& opt, unsigned workers, bool traced) {
   d = fnv(d, net.now());
   res.digest = d;
   res.peak_rss_mb = bench::peak_rss_mb();
-  res.lookahead_us = static_cast<std::uint64_t>(net.current_lookahead());
+  res.lookahead_us = static_cast<std::uint64_t>(ncfg.base_latency);
   if (traced) {
     res.trace_events = tracer.size();
     res.trace_dropped = tracer.dropped();

@@ -21,71 +21,12 @@ MykilGroup::MykilGroup(net::Network& net, GroupOptions options)
   net_.set_workers(options_.workers);
 }
 
-std::uint32_t MykilGroup::area_shard(std::size_t area_index) const {
-  // Placement is a locality hint: protocol traffic is correct — and the
-  // digest identical — whatever the assignment.
-  if (area_index < area_shards_.size()) return area_shards_[area_index];
-  // Pre-finalize fallback (members created before finalize): the legacy
-  // striping, wrapping only past the simulator's 255-shard ceiling.
+std::uint32_t MykilGroup::area_shard(std::size_t area_index) {
+  // Area-index striping, wrapping only past the simulator's 255-shard
+  // ceiling. Placement is an execution detail: protocol traffic is
+  // correct, and the digest identical, whatever the assignment.
   return 1 + static_cast<std::uint32_t>(
                  area_index % (net::Network::kMaxShards - 1));
-}
-
-void MykilGroup::assign_placement() {
-  const std::size_t n_areas = areas_.size();
-  area_shards_.assign(n_areas, 0);
-  if (options_.placement == ShardPlacement::kRoundRobin) {
-    for (std::size_t i = 0; i < n_areas; ++i)
-      area_shards_[i] = 1 + static_cast<std::uint32_t>(
-                                i % (net::Network::kMaxShards - 1));
-    return;
-  }
-
-  std::uint32_t target = options_.target_shards;
-  if (target == 0)
-    target = options_.workers >= 2 ? 2 * options_.workers : 1;
-  target = std::min<std::uint32_t>(
-      target, static_cast<std::uint32_t>(net::Network::kMaxShards));
-  target =
-      std::min<std::uint32_t>(target, static_cast<std::uint32_t>(n_areas + 1));
-
-  PlacementInput in;
-  in.units = n_areas + 1;  // unit 0 = RS, unit i + 1 = area i
-  in.target_shards = target;
-  in.load.assign(in.units, 1.0);
-  in.load[0] = 0.25;  // the RS is control-plane only
-  for (std::size_t i = 0; i < n_areas; ++i)
-    if (areas_[i].spare) in.load[1 + i] = 0.5;  // dormant until a split
-
-  if (!options_.placement_affinity.empty()) {
-    in.affinity = options_.placement_affinity;
-  } else {
-    // Static topology affinity, heaviest first: parent/child areas trade
-    // the bulk of the control traffic (child joins, epoch relays); a spare
-    // is the split target of its partner area, so co-locate them before
-    // the split makes them siblings; the RS talks to every area but
-    // hardest to the root (directory pushes fan out from there).
-    std::size_t spare_seq = 0;
-    for (std::size_t i = 0; i < n_areas; ++i) {
-      const Area& a = areas_[i];
-      if (a.parent)
-        in.affinity.push_back({1 + *a.parent, 1 + i, 100.0});
-      if (a.spare) {
-        if (!nonspare_areas_.empty()) {
-          std::size_t partner = nonspare_areas_[spare_seq % nonspare_areas_.size()];
-          in.affinity.push_back({1 + partner, 1 + i, 50.0});
-        }
-        ++spare_seq;
-      } else {
-        bool root = !nonspare_areas_.empty() && nonspare_areas_[0] == i;
-        in.affinity.push_back({0, 1 + i, root ? 50.0 : 10.0});
-      }
-    }
-  }
-
-  std::vector<std::uint32_t> unit_shard = place_units(in);
-  for (std::size_t i = 0; i < n_areas; ++i)
-    area_shards_[i] = unit_shard[1 + i];
 }
 
 std::size_t MykilGroup::add_area(std::optional<std::size_t> parent) {
@@ -106,15 +47,12 @@ std::size_t MykilGroup::add_area_impl(std::optional<std::size_t> parent,
   area.ac_id = kAcIdBase + areas_.size();
   area.parent = parent;
   area.spare = spare;
-  if (!spare) {
-    ++placement_areas_;
-    nonspare_areas_.push_back(areas_.size());
-  }
+  if (!spare) nonspare_areas_.push_back(areas_.size());
 
-  // Shard assignment and open_area are deferred to finalize(): placement
-  // needs the whole area tree, and nothing here schedules events — so the
-  // deferral changes neither key material (keygen order is unchanged) nor
-  // the event schedule (timers still arm at virtual time 0).
+  // Shard assignment and open_area are deferred to finalize(); nothing
+  // here schedules events, so the deferral changes neither key material
+  // (keygen order is unchanged) nor the event schedule (timers still arm
+  // at virtual time 0).
   crypto::RsaKeyPair keys = crypto::rsa_generate(options_.rsa_bits, prng_);
   area.primary = std::make_unique<AreaController>(
       area.ac_id, options_.config, std::move(keys), k_shared_,
@@ -137,18 +75,15 @@ void MykilGroup::finalize() {
   if (finalized_) throw ProtocolError("finalize called twice");
   finalized_ = true;
 
-  // Place first (the whole tree is known now), then open the areas on
-  // their final shards so every event an AC ever schedules lands there.
-  // Sites model the latency topology: one site per area (controller,
-  // backup, and that area's members), the RS alone on site 0. With the
-  // default inter_site_latency of 0 they are inert; a positive value makes
-  // cross-area hops slower AND lets the engine widen its conservative
-  // window to base + inter-site latency, because no site straddles shards.
-  assign_placement();
+  // Shard the areas, then open them so every event an AC ever schedules
+  // lands on its shard. Sites model the latency topology: one site per
+  // area (controller, backup, and that area's members), the RS alone on
+  // site 0. With the default inter_site_latency of 0 they are inert; a
+  // positive value makes cross-area hops slower.
   net_.set_site(rs_->id(), 0);
   for (std::size_t i = 0; i < areas_.size(); ++i) {
     Area& a = areas_[i];
-    const std::uint32_t shard = area_shards_[i];
+    const std::uint32_t shard = area_shard(i);
     const auto site = static_cast<std::uint32_t>(1 + i);
     net_.set_shard(a.primary->id(), shard);
     net_.set_site(a.primary->id(), site);
@@ -215,8 +150,7 @@ std::unique_ptr<Member> MykilGroup::make_member(ClientId client,
   // (best effort: exact when members join in creation order). A member
   // that later moves to another area keeps its shard and site — traffic
   // just crosses shards, which is correct, merely less local. The site
-  // follows the same prediction, so member sites never straddle shards
-  // and adaptive lookahead stays wide even under mispredictions.
+  // follows the same prediction.
   if (!nonspare_areas_.empty()) {
     std::size_t area = nonspare_areas_[member_seq_++ % nonspare_areas_.size()];
     net_.set_shard(m->id(), area_shard(area));

@@ -13,7 +13,6 @@
 
 #include "mykil/area_controller.h"
 #include "mykil/member.h"
-#include "mykil/placement.h"
 #include "mykil/registration_server.h"
 #include "net/network.h"
 
@@ -31,25 +30,11 @@ struct GroupOptions {
   /// Arm the periodic protocol timers (alive/eviction/rekey/heartbeat).
   /// Disable for protocol-logic tests that drive the network manually.
   bool enable_timers = true;
-  /// Worker threads for the simulator's parallel engine. The deployment is
-  /// sharded by area either way; 1 keeps execution inline, >= 2 runs shards
-  /// concurrently. The delivery schedule is identical for every value.
+  /// Worker threads for the simulator's engine. The deployment is sharded
+  /// by area either way (the RS on shard 0, area i on shard 1 + i % 255);
+  /// 1 drains every window inline, >= 2 runs shards concurrently. The
+  /// delivery schedule is identical for every value.
   unsigned workers = 1;
-  /// Shard placement policy (DESIGN.md 11.4). kLocality clusters chatty
-  /// units — parent/child areas, the RS with the root, split/merge
-  /// siblings — onto the same shard; kRoundRobin is the legacy area-index
-  /// striping. Placement is a pure locality hint: digests are identical
-  /// for both policies and for every target_shards value.
-  ShardPlacement placement = ShardPlacement::kLocality;
-  /// Shard count for locality placement. 0 = auto: 2x workers when the
-  /// parallel engine is on (load balancing headroom), a single shard when
-  /// sequential (no merge work at all).
-  unsigned target_shards = 0;
-  /// Non-empty: measured affinity matrix overriding the static topology
-  /// affinities. Units: 0 = RS, i + 1 = area i (spares included). Feed it
-  /// from a prior run's EngineProfile xshard matrix to chase the observed
-  /// traffic instead of the predicted one.
-  std::vector<PlacementEdge> placement_affinity;
 };
 
 class MykilGroup {
@@ -108,19 +93,14 @@ class MykilGroup {
     bool spare = false;
   };
 
-  /// Shard for an area / the next member (RS in 0). After finalize() this
-  /// reads the computed placement; before it, the legacy round-robin.
-  [[nodiscard]] std::uint32_t area_shard(std::size_t area_index) const;
-  /// Fill area_shards_ from options_.placement (runs once, in finalize).
-  void assign_placement();
+  /// Shard for an area and its members (the RS is alone on shard 0).
+  [[nodiscard]] static std::uint32_t area_shard(std::size_t area_index);
   std::size_t add_area_impl(std::optional<std::size_t> parent, bool spare);
 
   net::Network& net_;
   GroupOptions options_;
   std::size_t member_seq_ = 0;  ///< mirrors the RS round-robin for sharding
-  std::size_t placement_areas_ = 0;  ///< non-spare areas (the RS rotation)
   std::vector<std::size_t> nonspare_areas_;  ///< RS rotation order -> index
-  std::vector<std::uint32_t> area_shards_;   ///< per-area shard (finalize)
   crypto::Prng prng_;
   crypto::SymmetricKey k_shared_;
   std::unique_ptr<RegistrationServer> rs_;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 
@@ -21,15 +22,14 @@ constexpr std::uint64_t kPurposeJitter = 0;
 constexpr std::uint64_t kPurposeDrop = 1;
 
 /// Thread-local execution context. Set around every node callback so API
-/// calls made from inside the callback know (a) which network and shard
-/// they are executing on, (b) which node is running (the origin for
-/// buffered group ops), and (c) whether cross-shard effects must be
-/// buffered (true only on worker threads inside a parallel window).
+/// calls made from inside the callback know which network and shard they
+/// are executing on and which node is running (the origin for buffered
+/// group ops). Every callback runs inside a window, so cross-shard effects
+/// are always buffered, whatever the worker count.
 struct CallCtx {
   const void* net = nullptr;
   void* shard = nullptr;  ///< Network::Shard*
   NodeId active_node = kNoNode;
-  bool buffered = false;
   /// Ambient causal context: the delivered message's context for delivery
   /// callbacks, empty for timers unless the handler sets one. Stamped onto
   /// every send issued from the callback.
@@ -62,6 +62,10 @@ Network& Node::network() const {
 }
 
 Network::Network(NetworkConfig config) : config_(config), prf_(config.seed) {
+  // base_latency is the engine's lookahead: a zero-latency link could land
+  // a cross-shard event inside the window that sent it.
+  if (config_.base_latency == 0)
+    throw SimError("NetworkConfig: base_latency must be positive");
   origin_.emplace_back();  // index 0: the kNoNode origin
   shards_.push_back(std::make_unique<Shard>());
 }
@@ -113,15 +117,16 @@ SimTime Network::local_now() const {
 SimTime Network::now() const { return local_now(); }
 
 NetStats& Network::active_stats() {
-  if (in_callback() && tls_ctx.buffered)
+  // Per-shard deltas exist only so concurrent callbacks never share a
+  // counter; with no helper threads every callback runs on this thread.
+  if (in_callback() && workers_ > 1)
     return static_cast<Shard*>(tls_ctx.shard)->stats_delta;
   return stats_;
 }
 
 NodeId Network::attach(Node& node) {
   if (node.attached()) throw SimError("node already attached");
-  if (in_callback() && tls_ctx.buffered)
-    throw SimError("attach during a parallel window");
+  if (in_callback()) throw SimError("attach from a node callback");
   if (nodes_.size() >= (std::size_t{1} << 24) - 1)
     throw SimError("attach: node limit (2^24 - 2) reached");
   NodeId id = static_cast<NodeId>(nodes_.size());
@@ -133,7 +138,6 @@ NodeId Network::attach(Node& node) {
   origin_.emplace_back();
   node.network_ = this;
   node.id_ = id;
-  lookahead_dirty_ = true;
   return id;
 }
 
@@ -150,7 +154,6 @@ void Network::set_shard(NodeId node, std::uint32_t shard) {
     shards_.push_back(std::move(sh));
   }
   node_shard_[node] = shard;
-  lookahead_dirty_ = true;
 }
 
 std::uint32_t Network::shard_of(NodeId node) const {
@@ -162,35 +165,11 @@ void Network::set_site(NodeId node, std::uint32_t site) {
   if (node >= nodes_.size()) throw SimError("set_site: unknown node");
   if (in_callback()) throw SimError("set_site from a node callback");
   node_site_[node] = site;
-  lookahead_dirty_ = true;
 }
 
 std::uint32_t Network::site_of(NodeId node) const {
   if (node >= nodes_.size()) throw SimError("site_of: unknown node");
   return node_site_[node];
-}
-
-void Network::ensure_lookahead() {
-  if (!lookahead_dirty_) return;
-  lookahead_dirty_ = false;
-  // base_latency is the minimum latency of every link, which bounds how
-  // soon an event can affect another shard. A zero base latency degrades
-  // the window to a single timestamp (and parallel dispatch is disabled:
-  // a zero-latency cross-shard send could land inside the open window).
-  lookahead_ = config_.base_latency > 0 ? config_.base_latency : 1;
-  if (config_.base_latency <= 0 || config_.inter_site_latency <= 0) return;
-  // Adaptive widening: when no site's nodes straddle two shards, every
-  // cross-shard delivery is cross-site and costs at least base_latency +
-  // inter_site_latency — so the window may be that wide. The check is a
-  // pure function of (site, shard) assignments: every placement that
-  // keeps sites whole (including everything on ONE shard) computes the
-  // same width, which is what keeps digests placement-invariant.
-  std::unordered_map<std::uint32_t, std::uint32_t> home;
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    auto [it, fresh] = home.emplace(node_site_[n], node_shard_[n]);
-    if (!fresh && it->second != node_shard_[n]) return;  // straddler: stay
-  }
-  lookahead_ = config_.base_latency + config_.inter_site_latency;
 }
 
 void Network::set_workers(unsigned n) {
@@ -199,15 +178,17 @@ void Network::set_workers(unsigned n) {
   if (n == workers_) return;
   stop_workers();
   workers_ = n;
-  // Spin-then-block barrier tuning: spinning only pays when workers can
-  // actually run concurrently with the coordinator. On a single hardware
-  // thread the spin would steal the CPU the work needs, so block at once.
-  spin_limit_ = std::thread::hardware_concurrency() >= 2 ? 4000 : 0;
-  if (n >= 2) {
-    threads_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-      threads_.emplace_back([this, i] { worker_main(i); });
-  }
+  // Spin-then-block barrier. On one hardware thread a spin would steal the
+  // CPU the work needs, so block at once. Oversubscribed (more workers than
+  // cores), a waiting thread yields instead of pausing, handing its core to
+  // a participant that is draining a shard.
+  const unsigned cores = std::thread::hardware_concurrency();
+  spin_limit_ = cores >= 2 ? 4000 : 0;
+  oversubscribed_ = n > cores;
+  // The coordinator drains shards as worker 0: n - 1 helper threads.
+  threads_.reserve(n - 1);
+  for (unsigned i = 1; i < n; ++i)
+    threads_.emplace_back([this] { worker_main(); });
 }
 
 void Network::stop_workers() {
@@ -274,8 +255,7 @@ void Network::unblock_link(NodeId from, NodeId to) {
 // ---- multicast groups ----
 
 GroupId Network::create_group() {
-  if (in_callback() && tls_ctx.buffered)
-    throw SimError("create_group during a parallel window");
+  if (in_callback()) throw SimError("create_group from a node callback");
   groups_.emplace_back();
   return static_cast<GroupId>(groups_.size() - 1);
 }
@@ -448,7 +428,7 @@ void Network::schedule(Event ev) {
       ++src.prof_xshard[dshard];
     }
   }
-  if (in_callback() && tls_ctx.buffered &&
+  if (in_callback() &&
       static_cast<Shard*>(tls_ctx.shard) != shards_[dshard].get()) {
     static_cast<Shard*>(tls_ctx.shard)
         ->outbox.push_back({std::move(ev), key, dshard});
@@ -542,9 +522,8 @@ Network::TimerId Network::set_timer(NodeId node, SimDuration delay,
   if (node >= nodes_.size()) throw SimError("set_timer: unknown node");
   std::uint32_t sidx = node_shard_[node];
   Shard& sh = *shards_[sidx];
-  if (in_callback() && tls_ctx.buffered &&
-      static_cast<Shard*>(tls_ctx.shard) != &sh)
-    throw SimError("set_timer: cross-shard timer during a parallel window");
+  if (in_callback() && static_cast<Shard*>(tls_ctx.shard) != &sh)
+    throw SimError("set_timer: cross-shard timer from a node callback");
   std::uint32_t slot = acquire_slot(sh);
   std::uint32_t seq = sh.next_timer_seq++ & 0xFFFFFF;
   if (seq == 0) seq = sh.next_timer_seq++ & 0xFFFFFF;  // ids stay nonzero
@@ -566,9 +545,8 @@ void Network::cancel_timer(TimerId id) {
   auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFF);
   if (sidx >= shards_.size()) return;
   Shard& sh = *shards_[sidx];
-  if (in_callback() && tls_ctx.buffered &&
-      static_cast<Shard*>(tls_ctx.shard) != &sh)
-    throw SimError("cancel_timer: cross-shard cancel during a parallel window");
+  if (in_callback() && static_cast<Shard*>(tls_ctx.shard) != &sh)
+    throw SimError("cancel_timer: cross-shard cancel from a node callback");
   if (slot >= sh.pool.size()) return;
   Event& ev = sh.pool[slot];
   // The slot may have fired (timer_id cleared) or been recycled for a
@@ -617,69 +595,20 @@ void Network::flush_window() {
   win_end_ = 0;
 }
 
-void Network::heapify(Shard& sh) {
-  const std::size_t n = sh.heap.size();
-  if (n < 2) return;
-  for (std::size_t i = (n - 2) / kHeapArity + 1; i-- > 0;) sift_down(sh, i);
-}
-
 void Network::merge_outboxes() {
   // Canonical keys were assigned at send time, so the heap order is
-  // independent of the merge order; iterating shards in index order just
-  // keeps slot assignment tidy. The merge is batched: one counting pass
-  // picks, per destination, between per-event sifts (small trickle into a
-  // deep heap) and a raw append followed by a single O(n) heapify (burst
-  // comparable to the heap itself) — the flash-crowd shape where per-event
-  // insertion used to cost an extra log factor at every barrier.
-  const std::size_t n = shards_.size();
-  bool any = false;
-  for (auto& shp : shards_)
-    if (!shp->outbox.empty()) {
-      any = true;
-      break;
-    }
-  if (!any) return;
-  merge_count_.assign(n, 0);
-  std::uint64_t total = 0;
-  for (auto& shp : shards_)
-    for (const PendingEvent& p : shp->outbox) ++merge_count_[p.dest_shard];
-  merge_bulk_.assign(n, 0);
-  for (std::size_t d = 0; d < n; ++d) {
-    total += merge_count_[d];
-    if (merge_count_[d] >= 32 &&
-        static_cast<std::size_t>(merge_count_[d]) * 4 >=
-            shards_[d]->heap.size())
-      merge_bulk_[d] = 1;
-  }
-  if (profile_) prof_merged_events_ += total;
+  // independent of the merge order.
   for (auto& shp : shards_) {
-    if (shp->outbox.size() > shp->prof_outbox_peak)
-      shp->prof_outbox_peak = shp->outbox.size();
-    for (PendingEvent& p : shp->outbox) {
-      Shard& dst = *shards_[p.dest_shard];
-      std::uint32_t slot = acquire_slot(dst);
-      SimTime at = p.ev.at;
-      dst.pool[slot] = std::move(p.ev);
-      if (merge_bulk_[p.dest_shard])
-        dst.heap.push_back({at, p.key, slot});
-      else
-        heap_push(dst, {at, p.key, slot});
+    if (shp->outbox.empty()) continue;
+    if (profile_) {
+      prof_merged_events_ += shp->outbox.size();
+      if (shp->outbox.size() > shp->prof_outbox_peak)
+        shp->prof_outbox_peak = shp->outbox.size();
     }
-    // Arena reuse with hysteresis: keep the outbox capacity near its
-    // decaying high-water so steady windows reallocate nothing, while one
-    // flash-crowd burst stops pinning memory a few hundred windows later.
-    std::size_t sz = shp->outbox.size();
-    std::size_t decayed = shp->outbox_watermark - shp->outbox_watermark / 8;
-    shp->outbox_watermark = sz > decayed ? sz : decayed;
-    shp->outbox.clear();
-    if (shp->outbox.capacity() > 256 &&
-        shp->outbox.capacity() > 2 * shp->outbox_watermark) {
-      shp->outbox.shrink_to_fit();
-      shp->outbox.reserve(shp->outbox_watermark);
-    }
+    for (PendingEvent& p : shp->outbox)
+      place(*shards_[p.dest_shard], std::move(p.ev), p.key);
+    shp->outbox.clear();  // keeps its capacity for the next window
   }
-  for (std::size_t d = 0; d < n; ++d)
-    if (merge_bulk_[d]) heapify(*shards_[d]);
 }
 
 void Network::merge_stats_deltas() {
@@ -693,16 +622,19 @@ void Network::merge_stats_deltas() {
   }
 }
 
-void Network::process_event(Shard& sh, EventRef ref, bool buffered) {
+void Network::process_event(Shard& sh, EventRef ref) {
   Event ev = std::move(sh.pool[ref.slot]);
   release_slot(sh, ref.slot);
   sh.now = ev.at;
   if (queue_depth_) queue_depth_->record(sh.heap.size() + 1);
   if (profile_) ++sh.prof_events;
-  CallCtx saved = tls_ctx;
+  // Restores the caller's context even when the callback throws.
+  struct Restore {
+    CallCtx saved = tls_ctx;
+    ~Restore() { tls_ctx = saved; }
+  } restore;
   tls_ctx.net = this;
   tls_ctx.shard = &sh;
-  tls_ctx.buffered = buffered;
   switch (ev.kind) {
     case Event::Kind::kDeliver: {
       NodeId to = ev.deliver_to;
@@ -744,20 +676,19 @@ void Network::process_event(Shard& sh, EventRef ref, bool buffered) {
       break;
     }
   }
-  tls_ctx = saved;
 }
 
-std::size_t Network::drain_shard(Shard& sh, SimTime cap, bool buffered) {
+std::size_t Network::drain_shard(Shard& sh, SimTime cap, std::size_t budget) {
   std::uint64_t t0 = 0;
   if (profile_) {
     t0 = mono_ns();
     if (sh.heap.size() > sh.prof_peak_heap) sh.prof_peak_heap = sh.heap.size();
   }
   std::size_t n = 0;
-  while (!sh.heap.empty() && sh.heap[0].at <= cap) {
+  while (n < budget && !sh.heap.empty() && sh.heap[0].at <= cap) {
     EventRef top = sh.heap[0];
     heap_pop_min(sh);
-    process_event(sh, top, buffered);
+    process_event(sh, top);
     ++n;
   }
   if (profile_) {
@@ -766,120 +697,33 @@ std::size_t Network::drain_shard(Shard& sh, SimTime cap, bool buffered) {
     sh.prof_epoch_busy_ns = dt;
     if (n > 0) ++sh.prof_windows;
   }
+  sh.processed = n;
   return n;
 }
 
-bool Network::step_one(SimTime deadline) {
-  // Global minimum across shard heaps: with one shard this is the plain
-  // sequential scheduler; with many it is the same total (at, key) order
-  // the parallel engine realizes window by window.
-  Shard* best = nullptr;
-  for (auto& shp : shards_) {
-    if (shp->heap.empty()) continue;
-    if (best == nullptr || ref_before(shp->heap[0], best->heap[0]))
-      best = shp.get();
-  }
-  if (best == nullptr) return false;
-  EventRef top = best->heap[0];
-  if (top.at > deadline) return false;
-  if (win_end_ != 0 && top.at >= win_end_) flush_window();
-  if (win_end_ == 0) {
-    // A window opens at the same virtual times in every execution mode,
-    // so sampling here keeps the metrics series worker-count-invariant.
-    win_end_ = top.at + lookahead();
-    maybe_sample(top.at);
-  }
-  heap_pop_min(*best);
-  now_ = top.at;
-  process_event(*best, top, false);
-  return true;
-}
-
-std::size_t Network::run_sequential(SimTime deadline, std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step_one(deadline)) ++n;
-  return n;
-}
-
-void Network::reserve_headroom(Shard& sh) {
-  // Events a window creates are mostly intra-shard follow-ups, bounded in
-  // practice by a fraction of what is already queued. Grow by at least
-  // 1.5x when growing at all, so repeated reserves stay amortized O(1).
-  std::size_t growth = sh.heap.size() / 2 + 64;
-  if (sh.free_slots.size() < growth) {
-    std::size_t need = sh.pool.size() + (growth - sh.free_slots.size());
-    if (sh.pool.capacity() < need)
-      sh.pool.reserve(std::max(need, sh.pool.capacity() * 3 / 2));
-  }
-  std::size_t hneed = sh.heap.size() + growth;
-  if (sh.heap.capacity() < hneed)
-    sh.heap.reserve(std::max(hneed, sh.heap.capacity() * 3 / 2));
-}
-
-void Network::run_epoch(SimTime cap) {
-  for (Shard* sh : active_shards_) {
-    sh->processed = 0;
-    reserve_headroom(*sh);
-  }
-  epoch_cap_ = cap;
-  work_cursor_.store(0, std::memory_order_relaxed);
-  running_.store(static_cast<unsigned>(threads_.size()),
-                 std::memory_order_relaxed);
-  // The seq_cst epoch bump publishes epoch_cap_ and active_shards_; the
-  // seq_cst sleepers_ read closes the Dekker race with a worker that
-  // checked the epoch and is about to block.
-  epoch_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    work_cv_.notify_all();
-  }
-  for (unsigned i = 0; i < spin_limit_; ++i) {
-    if (running_.load(std::memory_order_acquire) == 0) return;
-    cpu_relax();
-  }
-  std::unique_lock<std::mutex> lk(pool_mu_);
-  coord_waiting_.store(true, std::memory_order_seq_cst);
-  done_cv_.wait(lk,
-                [&] { return running_.load(std::memory_order_seq_cst) == 0; });
-  coord_waiting_.store(false, std::memory_order_relaxed);
-}
-
-void Network::worker_main(unsigned) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Await the next epoch: spin briefly (multi-core hosts only), then
-    // block on the condition variable. The sleepers_ counter lets the
-    // coordinator skip the notify syscall entirely while workers spin.
-    std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-    unsigned spins = 0;
-    while (e == seen && !shutdown_.load(std::memory_order_relaxed)) {
-      if (++spins > spin_limit_) {
-        std::unique_lock<std::mutex> lk(pool_mu_);
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        work_cv_.wait(lk, [&] {
-          return shutdown_.load(std::memory_order_relaxed) ||
-                 epoch_.load(std::memory_order_seq_cst) != seen;
-        });
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        spins = 0;
-      } else {
-        cpu_relax();
-      }
-      e = epoch_.load(std::memory_order_seq_cst);
+unsigned Network::drain_claimed(std::uint32_t& epoch) {
+  // Claim the next unclaimed shard of the published window until none is
+  // left. The fetch_add reads the coordinator's release store of work_, so
+  // epoch_cap_ and active_shards_ are visible; they stay fixed until every
+  // claimed shard reports done. A claim past the end only bumps `next`,
+  // which the coordinator overwrites when it publishes the next window.
+  for (unsigned drained = 0;; ++drained) {
+    const std::uint64_t w = work_.fetch_add(1, std::memory_order_acq_rel);
+    const auto next = static_cast<std::uint32_t>(w & 0xFFFF);
+    const auto count = static_cast<std::uint32_t>((w >> 16) & 0xFFFF);
+    if (next >= count) {
+      epoch = static_cast<std::uint32_t>(w >> 32);
+      return drained;
     }
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    seen = e;
-    SimTime cap = epoch_cap_;
-    // Claim active shards through the shared cursor: pure dynamic load
-    // balancing. WHICH worker drains a shard is irrelevant to the
-    // schedule — all shard state is shard-local — so stealing is free.
-    for (;;) {
-      std::size_t i = work_cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= active_shards_.size()) break;
-      Shard& sh = *active_shards_[i];
-      sh.processed = drain_shard(sh, cap, /*buffered=*/true);
+    try {
+      drain_shard(*active_shards_[next], epoch_cap_, SIZE_MAX);
+    } catch (...) {
+      // A callback threw: the coordinator rethrows it from run(), as it
+      // would at workers=1; the shard still counts as done.
+      std::lock_guard<std::mutex> lk(pool_mu_);
+      if (!window_error_) window_error_ = std::current_exception();
     }
-    if (running_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+    if (done_.fetch_add(1, std::memory_order_seq_cst) + 1 == count &&
         coord_waiting_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lk(pool_mu_);
       done_cv_.notify_one();
@@ -887,57 +731,131 @@ void Network::worker_main(unsigned) {
   }
 }
 
-std::size_t Network::run_parallel(SimTime deadline) {
-  std::size_t total = 0;
-  const bool prof = profile_;
-  std::uint64_t wall0 = prof ? mono_ns() : 0;
+void Network::run_epoch(SimTime cap) {
+  const auto count = static_cast<std::uint32_t>(active_shards_.size());
+  epoch_cap_ = cap;
+  done_.store(0, std::memory_order_relaxed);
+  // The seq_cst store publishes epoch_cap_, active_shards_ and every shard
+  // the coordinator touched since the last window; the seq_cst sleepers_
+  // read closes the Dekker race with a helper about to block. Only as many
+  // sleeping helpers wake as the window has shards beyond the one the
+  // coordinator takes, so a window with one active shard wakes nobody.
+  ++epoch_;
+  work_.store((static_cast<std::uint64_t>(epoch_) << 32) |
+                  (static_cast<std::uint64_t>(count) << 16),
+              std::memory_order_seq_cst);
+  const unsigned wake =
+      std::min(sleepers_.load(std::memory_order_seq_cst), count - 1);
+  if (wake > 0) {
+    std::lock_guard<std::mutex> lk(pool_mu_);
+    for (unsigned i = 0; i < wake; ++i) work_cv_.notify_one();
+  }
+  // The coordinator is worker 0: it drains shards like any helper, so a
+  // helper that is descheduled before it claims anything costs nothing.
+  std::uint32_t epoch = 0;
+  drain_claimed(epoch);
+  // Only shards already claimed by a running helper remain.
+  for (unsigned i = 0; i < spin_limit_ &&
+                       done_.load(std::memory_order_acquire) != count;
+       ++i)
+    spin_pause();
+  if (done_.load(std::memory_order_acquire) != count) {
+    std::unique_lock<std::mutex> lk(pool_mu_);
+    coord_waiting_.store(true, std::memory_order_seq_cst);
+    done_cv_.wait(lk, [&] {
+      return done_.load(std::memory_order_seq_cst) == count;
+    });
+    coord_waiting_.store(false, std::memory_order_relaxed);
+  }
+  if (window_error_)
+    std::rethrow_exception(std::exchange(window_error_, nullptr));
+}
+
+void Network::spin_pause() const {
+  if (oversubscribed_)
+    std::this_thread::yield();
+  else
+    cpu_relax();
+}
+
+void Network::worker_main() {
+  auto epoch_of = [](std::uint64_t w) {
+    return static_cast<std::uint32_t>(w >> 32);
+  };
+  std::uint32_t seen = epoch_of(work_.load(std::memory_order_acquire));
+  // Await the next window: spin briefly, then block on the condition
+  // variable. The sleepers_ counter lets the coordinator skip the notify
+  // syscall entirely while helpers spin. The spin budget restarts only
+  // after the helper drained a shard, so a run of windows the coordinator
+  // handles alone puts the helpers to sleep instead of keeping them busy.
+  unsigned spins = 0;
   for (;;) {
+    while (epoch_of(work_.load(std::memory_order_seq_cst)) == seen) {
+      if (shutdown_.load(std::memory_order_relaxed)) return;
+      if (++spins <= spin_limit_) {
+        spin_pause();
+        continue;
+      }
+      std::unique_lock<std::mutex> lk(pool_mu_);
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      work_cv_.wait(lk, [&] {
+        return shutdown_.load(std::memory_order_relaxed) ||
+               epoch_of(work_.load(std::memory_order_seq_cst)) != seen;
+      });
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (drain_claimed(seen) > 0) spins = 0;
+  }
+}
+
+std::size_t Network::run_loop(SimTime deadline, std::size_t budget) {
+  const bool prof = profile_;
+  const std::uint64_t wall0 = prof ? mono_ns() : 0;
+  std::size_t total = 0;
+  while (total < budget) {
     SimTime t_min = next_event_time();
     if (t_min == kNever || t_min > deadline) break;
     if (win_end_ != 0 && t_min >= win_end_) flush_window();
     if (win_end_ == 0) {
-      win_end_ = t_min + lookahead();
+      // A window opens at the same virtual times for every worker count,
+      // so sampling here keeps the metrics series worker-invariant.
+      win_end_ = t_min + config_.base_latency;
       maybe_sample(t_min);
     }
-    SimTime cap = std::min(deadline, win_end_ - 1);
-    // Shards with work this window. Sparse phases (heartbeat-only tails)
-    // usually light up a single shard: drain it inline and skip the
-    // worker handshake — the result is identical because the window's
-    // outcome never depends on the interleaving.
+    const SimTime cap = std::min(deadline, win_end_ - 1);
     active_shards_.clear();
     for (auto& shp : shards_)
       if (!shp->heap.empty() && shp->heap[0].at <= cap)
         active_shards_.push_back(shp.get());
-    if (active_shards_.size() <= 1) {
-      std::size_t n = active_shards_.empty()
-                          ? 0
-                          : drain_shard(*active_shards_[0], cap, false);
-      total += n;
-      if (prof) {
-        ++prof_windows_;
-        ++prof_solo_windows_;
-        prof_events_per_window_.record(n);
-      }
+    std::uint64_t e0 = 0;
+    if (prof) {
+      e0 = mono_ns();
+      for (auto& shp : shards_) shp->prof_epoch_busy_ns = 0;
+    }
+    // No shard's outcome depends on which thread drains it or in what
+    // order, so a window runs inline on the coordinator when there are no
+    // helpers, or when an event budget must cut it at an exact event.
+    std::size_t n = 0;
+    if (threads_.empty() || budget != SIZE_MAX) {
+      for (Shard* sh : active_shards_)
+        n += drain_shard(*sh, cap, budget - total - n);
     } else {
-      std::uint64_t e0 = 0;
-      if (prof) {
-        e0 = mono_ns();
-        for (auto& shp : shards_) shp->prof_epoch_busy_ns = 0;
-      }
       run_epoch(cap);
-      std::size_t n = 0;
       for (Shard* sh : active_shards_) n += sh->processed;
-      total += n;
-      merge_outboxes();
-      if (prof) {
-        // Stall = the barrier wall time a shard spent NOT draining events
-        // this epoch. Idle shards charge the whole window — that is the
+    }
+    total += n;
+    merge_outboxes();
+    if (prof) {
+      ++prof_windows_;
+      if (active_shards_.size() == 1) ++prof_solo_windows_;
+      prof_events_per_window_.record(n);
+      if (active_shards_.size() >= 2) {
+        // Stall = the window's wall time a shard spent NOT draining
+        // events. Idle shards charge the whole window — that is the
         // imbalance signal the shard-placement work needs.
-        std::uint64_t ewall = mono_ns() - e0;
-        ++prof_windows_;
-        prof_events_per_window_.record(n);
+        const std::uint64_t ewall = mono_ns() - e0;
         for (auto& shp : shards_) {
-          std::uint64_t busy = shp->prof_epoch_busy_ns;
+          const std::uint64_t busy = shp->prof_epoch_busy_ns;
           shp->prof_stall_ns += ewall > busy ? ewall - busy : 0;
         }
       }
@@ -945,42 +863,23 @@ std::size_t Network::run_parallel(SimTime deadline) {
   }
   for (auto& shp : shards_)
     if (shp->now > now_) now_ = shp->now;
+  if (next_event_time() == kNever) flush_window();
+  merge_stats_deltas();
   if (prof) prof_wall_ns_ += mono_ns() - wall0;
   return total;
 }
 
 std::size_t Network::run(std::size_t max_events) {
-  ensure_lookahead();
-  std::size_t n;
-  if (max_events == SIZE_MAX && workers_ >= 2 && shards_.size() >= 2 &&
-      config_.base_latency > 0)
-    n = run_parallel(kNever);
-  else
-    n = run_sequential(kNever, max_events);
-  if (next_event_time() == kNever) flush_window();
-  merge_stats_deltas();
-  return n;
+  return run_loop(kNever, max_events);
 }
 
 std::size_t Network::run_until(SimTime deadline) {
-  ensure_lookahead();
-  std::size_t n;
-  if (workers_ >= 2 && shards_.size() >= 2 && config_.base_latency > 0)
-    n = run_parallel(deadline);
-  else
-    n = run_sequential(deadline, SIZE_MAX);
+  std::size_t n = run_loop(deadline, SIZE_MAX);
   if (now_ < deadline) now_ = deadline;
-  if (next_event_time() == kNever) flush_window();
-  merge_stats_deltas();
   return n;
 }
 
-bool Network::step() {
-  ensure_lookahead();
-  bool advanced = step_one(kNever);
-  if (advanced && next_event_time() == kNever) flush_window();
-  return advanced;
-}
+bool Network::step() { return run_loop(kNever, 1) == 1; }
 
 // ---- introspection ----
 
@@ -1009,7 +908,6 @@ EngineProfile Network::engine_profile() const {
   p.wall_ms = static_cast<double>(prof_wall_ns_) / 1e6;
   p.events_per_window = prof_events_per_window_.summary();
   p.merged_events = prof_merged_events_;
-  p.lookahead_us = static_cast<std::uint64_t>(lookahead_);
   const std::size_t n = shards_.size();
   p.shards.resize(n);
   p.xshard.assign(n, std::vector<std::uint64_t>(n, 0));

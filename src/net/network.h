@@ -27,18 +27,20 @@
 //     (seed, node, purpose) with a per-node counter, so the i-th draw of a
 //     node's stream has the same value no matter how shards interleave.
 //
-// Parallel mode (DESIGN.md 11): nodes are partitioned into shards
-// (Network::set_shard; the Mykil layer assigns one shard per area). Each
-// shard owns its own event heap/pool, and time advances in conservative
-// windows of width `lookahead = base_latency` — the minimum latency of any
-// link, hence the soonest an event executed in this window can affect
-// another shard. Within a window shards run independently on a worker
-// pool; cross-shard sends are buffered in per-shard outboxes and merged at
-// the window barrier (the canonical keys make merge order irrelevant).
-// Group membership mutations issued from node callbacks are buffered and
-// applied at window boundaries in canonical (time, origin, seq) order in
-// EVERY mode — including workers=1 — so the membership visible to a
-// multicast is identical whatever the worker count.
+// One scheduling loop (DESIGN.md 11): nodes are partitioned into shards
+// (Network::set_shard; the Mykil layer assigns shards by area). Each shard
+// owns its own event heap/pool, and time advances in conservative windows
+// of width `lookahead = base_latency` — the minimum latency of any link,
+// hence the soonest an event executed in this window can affect another
+// shard. Within a window shards run independently: at workers=1 the
+// calling thread drains them one after another, at workers=n it and n - 1
+// helper threads claim them concurrently. Either way cross-shard sends are
+// buffered in per-shard outboxes and merged at the window barrier (the
+// canonical keys make merge order irrelevant), and group membership
+// mutations issued from node callbacks are buffered and applied at window
+// boundaries in canonical (time, origin, seq) order — so every worker
+// count runs the same windows and the membership visible to a multicast is
+// identical whatever the worker count.
 //
 // Scale (DESIGN.md 10): per shard, the event queue is a 4-ary heap of
 // {time, key, slot} handles over a slab-allocated event pool, payloads are
@@ -72,9 +74,12 @@
 //     due time lands after recover() fires normally. Nodes that need
 //     periodic timers across failures must re-arm them in on_recover()
 //     (the Mykil entities do; see also ArqEndpoint::on_recover).
-//   - Timers are shard-local: with workers >= 2, a node callback may only
-//     set or cancel timers on nodes in its own shard (every Mykil timer is
-//     self-targeted, so this never binds in practice).
+//   - Timers are shard-local: a node callback may only set or cancel
+//     timers on nodes in its own shard, and may not attach nodes or create
+//     groups. Anything else throws SimError, at every worker count (every
+//     Mykil timer is self-targeted, so this never binds in practice). An
+//     exception a callback throws leaves run()/run_until()/step() on the
+//     calling thread, whichever thread ran the callback.
 //   - Reliability, retransmission, and duplicate suppression are therefore
 //     the job of the layer above: see net/arq.h.
 #pragma once
@@ -82,6 +87,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -101,9 +107,8 @@ namespace mykil::net {
 
 struct NetworkConfig {
   /// Fixed one-way latency added to every delivery. Doubles as the
-  /// parallel engine's lookahead: with base_latency == 0 the engine
-  /// degrades to single-threaded execution (still windowed, still
-  /// deterministic).
+  /// engine's lookahead (the window width), so it must be positive: the
+  /// Network constructor throws SimError otherwise.
   SimDuration base_latency = usec(200);
   /// Additional latency per payload byte (models serialization/bandwidth).
   double per_byte_latency_us = 0.001;  // ~1 GB/s links
@@ -121,11 +126,8 @@ struct NetworkConfig {
   /// SITES (Network::set_site) — the paper's LAN/WAN split: IP multicast
   /// inside an area is fast, AC-to-AC TCP crosses the wide area. A site is
   /// a property of the node, never of its shard, so the delivery schedule
-  /// is identical for every shard placement and worker count. When every
-  /// site is placed whole (no site's nodes straddle two shards), the
-  /// parallel engine widens its conservative window from base_latency to
-  /// base_latency + inter_site_latency — fewer barriers per simulated
-  /// second. 0 (the default) preserves the flat latency model.
+  /// is identical for every shard placement and worker count. 0 (the
+  /// default) preserves the flat latency model.
   SimDuration inter_site_latency = 0;
 };
 
@@ -136,28 +138,25 @@ struct ShardProfile {
   std::uint64_t events = 0;          ///< events processed on this shard
   std::uint64_t windows_active = 0;  ///< windows in which the shard had work
   double busy_ms = 0;                ///< wall time spent draining this shard
-  double stall_ms = 0;     ///< barrier wall minus busy, multi-shard epochs
+  double stall_ms = 0;  ///< window wall minus busy, multi-shard windows
   std::uint64_t peak_heap = 0;   ///< max queued events at a drain start
   std::uint64_t pool_slots = 0;  ///< slab high-water (slots ever allocated)
   std::uint64_t xshard_sent = 0;  ///< cross-shard sends originating here
   std::uint64_t outbox_peak = 0;  ///< max buffered cross-shard sends/window
   /// Arena high-water: bytes currently reserved by this shard's event
-  /// pool, heap, free list, and outbox (capacity, not size — the reuse the
-  /// window barrier is supposed to preserve is observable here instead of
-  /// inferred from process RSS).
+  /// pool, heap, free list, and outbox (capacity, not size).
   std::uint64_t arena_bytes = 0;
 };
 
-/// Snapshot of the parallel engine's per-shard accounting, collected while
+/// Snapshot of the engine's per-shard accounting, collected while
 /// enable_engine_profile(true) is set. Feeds the ROADMAP shard-placement
 /// work: stall_ms exposes window imbalance, the xshard matrix exposes
 /// which shard pairs talk.
 struct EngineProfile {
   std::uint64_t windows = 0;       ///< lookahead windows executed
-  std::uint64_t solo_windows = 0;  ///< single-active-shard fast-path windows
-  double wall_ms = 0;              ///< wall time inside the parallel run loop
+  std::uint64_t solo_windows = 0;  ///< windows with one active shard
+  double wall_ms = 0;              ///< wall time inside the run loop
   std::uint64_t merged_events = 0;  ///< cross-shard events merged at barriers
-  std::uint64_t lookahead_us = 0;   ///< conservative window width in use
   std::uint64_t arena_bytes = 0;    ///< sum of per-shard arena high-waters
   obs::HistogramSummary events_per_window;
   std::vector<ShardProfile> shards;
@@ -233,20 +232,11 @@ class Network {
   void set_site(NodeId node, std::uint32_t site);
   [[nodiscard]] std::uint32_t site_of(NodeId node) const;
 
-  /// The conservative window width the engine currently runs with
-  /// (DESIGN.md 11): base_latency, widened by inter_site_latency whenever
-  /// the shard placement keeps every site whole. Recomputed on topology
-  /// change (set_shard / set_site / attach).
-  [[nodiscard]] SimDuration current_lookahead() {
-    ensure_lookahead();
-    return lookahead_;
-  }
-
-  /// Size the worker pool. 1 (the default) processes events inline on the
-  /// calling thread; n >= 2 spawns n worker threads that execute shards
-  /// concurrently inside each lookahead window. The delivery schedule is
-  /// bit-identical for every value. Must be called from outside the event
-  /// loop.
+  /// Size the worker pool. 1 (the default) drains every window inline on
+  /// the calling thread; n >= 2 spawns n - 1 helper threads, and the
+  /// calling thread drains shards alongside them as worker 0. The windows
+  /// and the delivery schedule are bit-identical for every value. Must be
+  /// called from outside the event loop.
   void set_workers(unsigned n);
   [[nodiscard]] unsigned workers() const { return workers_; }
 
@@ -284,13 +274,15 @@ class Network {
   // ---- running ----
 
   /// Process events until the queue is empty or `max_events` processed.
-  /// Returns the number of events processed. (A bounded max_events runs
-  /// single-threaded so the cut point is exact; the schedule is identical
-  /// either way.)
+  /// Returns the number of events processed. A bounded max_events is an
+  /// event budget on the window loop: the window it cuts runs inline on
+  /// the calling thread, shard by shard, so the cut point is exact; the
+  /// next call resumes the same window. The schedule is identical either
+  /// way.
   std::size_t run(std::size_t max_events = SIZE_MAX);
   /// Process events with time <= deadline.
   std::size_t run_until(SimTime deadline);
-  /// Advance over one event. Returns false if queue empty.
+  /// Advance over one event (run(1)). Returns false if queue empty.
   bool step();
 
   /// Current virtual time. From inside a node callback this is the time
@@ -427,12 +419,8 @@ class Network {
     std::size_t processed = 0;  ///< events handled in the current epoch
     std::uint32_t index = 0;    ///< this shard's position in shards_
     std::vector<PendingEvent> outbox;
-    /// Decaying high-water of outbox size: when the retained capacity is
-    /// far above it, the barrier releases the slack (arena reuse with
-    /// hysteresis — one flash-crowd window must not pin memory forever).
-    std::size_t outbox_watermark = 0;
     std::vector<GroupOp> group_ops;
-    NetStats stats_delta;  ///< worker-context accounting, merged after runs
+    NetStats stats_delta;  ///< callback accounting with helpers; merged by run
     // Engine-profiler accounting (wall clock; written by whichever thread
     // owns the shard in the current window, read by the coordinator after
     // the barrier handshake — same publication rule as the rest of Shard).
@@ -463,9 +451,6 @@ class Network {
   static void heap_push(Shard& sh, EventRef ref);
   static void heap_pop_min(Shard& sh);
   static void sift_down(Shard& sh, std::size_t i);
-  /// Restore the heap property over the whole heap in O(n) — the bulk half
-  /// of the batched outbox merge (refs appended raw, one heapify).
-  static void heapify(Shard& sh);
 
   static std::uint32_t acquire_slot(Shard& sh);
   static void release_slot(Shard& sh, std::uint32_t slot);
@@ -490,22 +475,15 @@ class Network {
   SimDuration delivery_latency(std::size_t bytes, NodeId sender, NodeId to);
 
   /// Pop + execute the event behind `ref` (already removed from the heap).
-  void process_event(Shard& sh, EventRef ref, bool buffered);
-  /// Drain one shard's events with at <= cap. Returns events processed.
-  std::size_t drain_shard(Shard& sh, SimTime cap, bool buffered);
+  void process_event(Shard& sh, EventRef ref);
+  /// Drain up to `budget` of one shard's events with at <= cap. Returns
+  /// (and stores in sh.processed) the events processed.
+  std::size_t drain_shard(Shard& sh, SimTime cap, std::size_t budget);
 
-  [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
-  /// Recompute the cached lookahead if topology changed since the last
-  /// run: base_latency + inter_site_latency when no site's nodes straddle
-  /// two shards (then every cross-shard delivery is cross-site), plain
-  /// base_latency otherwise. A pure function of (sites, shards), so every
-  /// placement that keeps sites whole — and every worker count — runs the
-  /// same window schedule.
-  void ensure_lookahead();
   /// Earliest queued event across shards; SimTime max when idle.
   [[nodiscard]] SimTime next_event_time() const;
   /// Emit metrics samples for every scheduled tick <= `upto` (called when
-  /// a lookahead window opens — a deterministic point in every mode).
+  /// a window opens — the same point for every worker count).
   void maybe_sample(SimTime upto);
   /// Apply buffered group ops in canonical order and close the window.
   void flush_window();
@@ -513,17 +491,17 @@ class Network {
   void merge_outboxes();
   void merge_stats_deltas();
 
-  bool step_one(SimTime deadline);
-  std::size_t run_sequential(SimTime deadline, std::size_t max_events);
-  std::size_t run_parallel(SimTime deadline);
+  /// The one scheduling loop: run windows until the queue is empty, the
+  /// next event lies past `deadline`, or `budget` events ran.
+  std::size_t run_loop(SimTime deadline, std::size_t budget);
   void run_epoch(SimTime cap);  ///< dispatch one window to the worker pool
-  void worker_main(unsigned index);
+  /// Claim and drain shards of the published window until none is left.
+  /// Returns how many this thread drained; `epoch` receives the window's.
+  unsigned drain_claimed(std::uint32_t& epoch);
+  void worker_main();
+  /// One barrier spin iteration: a pause, or a yield when oversubscribed.
+  void spin_pause() const;
   void stop_workers();
-  /// Coordinator-side arena growth: reserve pool/heap headroom for the
-  /// coming window so worker threads almost never reallocate. Keeping the
-  /// big allocations on ONE thread is what stops glibc's per-thread malloc
-  /// arenas from multiplying peak RSS by the worker count.
-  void reserve_headroom(Shard& sh);
 
   void raw_join(GroupId group, NodeId node);
   void raw_leave(GroupId group, NodeId node);
@@ -532,12 +510,6 @@ class Network {
   crypto::StreamPrf prf_;
   SimTime now_ = 0;
   SimTime win_end_ = 0;  ///< exclusive end of the open window; 0 = none
-
-  /// Cached conservative window width (see ensure_lookahead). Dirty after
-  /// any attach/set_shard/set_site; recomputed at run entry, never inside
-  /// the event loop.
-  SimDuration lookahead_ = usec(200);
-  bool lookahead_dirty_ = true;
 
   std::vector<Node*> nodes_;
   std::vector<bool> up_;
@@ -552,34 +524,33 @@ class Network {
 
   NetStats stats_;
 
-  // Worker pool (set_workers >= 2): persistent threads synchronized by an
-  // atomic epoch counter with a spin-then-block barrier. The coordinator
-  // publishes the window cap and the active-shard list, release-stores the
-  // epoch, and acquire-waits for running_ to hit zero; those two atomics
-  // are the memory barrier that publishes shard state in both directions.
-  // Workers spin briefly (only on multi-core hosts) before falling back to
-  // the condition variables, so back-to-back windows cost no futex round
-  // trips. Workers claim shards from active_shards_ through an atomic
-  // cursor — dynamic load balancing instead of the old static striding.
+  // Worker pool (set_workers(n), n >= 2): the coordinator plus n - 1
+  // persistent helper threads. One atomic word, work_, packs the window's
+  // epoch (32 bits), active-shard count (16) and next unclaimed index (16):
+  // the coordinator publishes the window cap and the active-shard list and
+  // seq_cst-stores work_; every participant, coordinator included, claims
+  // shards with a fetch_add on it. done_ counts drained shards, and the
+  // coordinator waits for done_ == count — for CLAIMED work only, so a
+  // helper that never wakes cannot stall the window. Waiting threads spin
+  // briefly (yielding when oversubscribed) before blocking on a condvar.
   unsigned workers_ = 1;
   std::vector<std::thread> threads_;
   std::mutex pool_mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<unsigned> running_{0};
+  std::atomic<std::uint64_t> work_{0};  ///< epoch:32 | count:16 | next:16
+  std::atomic<std::uint32_t> done_{0};
   std::atomic<bool> shutdown_{false};
-  SimTime epoch_cap_ = 0;  ///< published by the epoch_ release store
+  std::uint32_t epoch_ = 0;  ///< coordinator's window counter
+  SimTime epoch_cap_ = 0;    ///< published by the work_ store
   std::vector<Shard*> active_shards_;  ///< shards with work this window
-  std::atomic<std::size_t> work_cursor_{0};
-  unsigned spin_limit_ = 0;  ///< barrier spin iterations; 0 on 1-core hosts
-  std::atomic<unsigned> sleepers_{0};      ///< workers blocked on work_cv_
+  unsigned spin_limit_ = 0;  ///< barrier spin iterations; 0 = block at once
+  bool oversubscribed_ = false;  ///< more workers than hardware threads
+  std::atomic<unsigned> sleepers_{0};      ///< helpers blocked on work_cv_
   std::atomic<bool> coord_waiting_{false};  ///< coordinator blocked on done_cv_
-
-  /// Barrier-merge scratch, coordinator-owned and reused across windows:
-  /// per-destination incoming counts and the bulk-vs-push decision.
-  std::vector<std::uint32_t> merge_count_;
-  std::vector<std::uint8_t> merge_bulk_;
+  /// First exception a callback threw in the current window (guarded by
+  /// pool_mu_); the coordinator rethrows it once the window is done.
+  std::exception_ptr window_error_;
 
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

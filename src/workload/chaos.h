@@ -76,15 +76,10 @@ struct ChaosOptions {
   /// including its digest — is identical for every value; the determinism
   /// tests assert exactly that.
   unsigned workers = 1;
-  /// Use the legacy round-robin shard placement instead of the default
-  /// locality-aware one (DESIGN.md 11.4). The digest is identical either
-  /// way — the placement determinism tests assert exactly that.
-  bool round_robin_placement = false;
   /// Extra one-way latency between nodes in different sites (areas). 0
   /// (default) models a flat LAN and leaves every historical digest
-  /// untouched; > 0 models a WAN split and lets the engine widen its
-  /// conservative windows. Changes the schedule — and so the digest — but
-  /// identically for every worker count and placement.
+  /// untouched; > 0 models a WAN split. Changes the schedule — and so the
+  /// digest — but identically for every worker count.
   net::SimDuration inter_site_latency = 0;
 
   // ---- observability (none of these fields may change the digest) ----

@@ -281,12 +281,15 @@ std::uint64_t fold_digests(const std::deque<HopNode>& nodes) {
 
 /// One multi-shard run: 12 nodes on 4 shards, jitter + drop coins live,
 /// traffic generated from callbacks, main-thread kicks between windows.
-std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers) {
+/// With `profile`, the engine profile is collected into it.
+std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers,
+                                   EngineProfile* profile = nullptr) {
   NetworkConfig cfg;
   cfg.seed = seed;
   cfg.drop_probability = 0.05;
   Network net(cfg);
   net.set_workers(workers);
+  net.enable_engine_profile(profile != nullptr);
 
   std::deque<HopNode> nodes;
   for (NodeId i = 0; i < 12; ++i) {
@@ -300,6 +303,7 @@ std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers) {
     net.run_until(net.now() + usec(700));
   }
   net.run();
+  if (profile != nullptr) *profile = net.engine_profile();
   return fold_digests(nodes);
 }
 
@@ -309,6 +313,28 @@ TEST(ParallelDeterminism, WorkerCountDoesNotChangeTheDigest) {
   EXPECT_EQ(sequential, run_sharded_workload(42, 8));
   // And the digest is still seed-sensitive in parallel mode.
   EXPECT_NE(sequential, run_sharded_workload(43, 8));
+}
+
+/// One scheduling loop for every worker count: the window schedule and the
+/// work each shard does are properties of the event schedule, so the
+/// profile's counts match at workers 1 and 4 (only wall times differ).
+TEST(ParallelDeterminism, EngineProfileCountsAreWorkerInvariant) {
+  EngineProfile one, four;
+  EXPECT_EQ(run_sharded_workload(42, 1, &one),
+            run_sharded_workload(42, 4, &four));
+  EXPECT_GT(one.windows, 0u);
+  EXPECT_EQ(one.windows, four.windows);
+  EXPECT_EQ(one.solo_windows, four.solo_windows);
+  ASSERT_EQ(one.shards.size(), 4u);
+  ASSERT_EQ(four.shards.size(), 4u);
+  std::uint64_t events = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(one.shards[s].events, four.shards[s].events) << "shard " << s;
+    EXPECT_EQ(one.shards[s].windows_active, four.shards[s].windows_active)
+        << "shard " << s;
+    events += one.shards[s].events;
+  }
+  EXPECT_GT(events, 0u);
 }
 
 /// Mid-window fault injection: run_until cuts inside a conservative window

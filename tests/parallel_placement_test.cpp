@@ -1,18 +1,16 @@
-// Placement-determinism gate (DESIGN.md 11.4): shard placement is a pure
-// locality hint, so a chaos schedule must produce ONE digest no matter how
-// units are placed or how many workers execute it.
+// Shard-placement determinism gate (DESIGN.md 11): shards are an execution
+// detail, so a chaos schedule must produce ONE digest no matter how many
+// workers drain the area shards.
 //
-// Three sweeps over the same seeded schedule:
-//   1. locality vs round-robin placement at workers 1/2/8 — six runs, one
-//      digest. The schedule uses dynamic_areas so spares, splits, and
-//      merges exercise the affinity edges the placer actually uses.
-//   2. the same cross-placement sweep with inter-site latency > 0, which
-//      widens the conservative window (adaptive lookahead): a different
-//      schedule than sweep 1 — wider windows batch group ops differently —
-//      but again ONE digest across placements and worker counts.
-//   3. a crash-heavy seed under the widened lookahead: primary crashes land
-//      mid-window, where a placement- or worker-dependent merge order
-//      would show up first.
+// Three sweeps over the same seeded schedule, each at workers 1/2/4/8:
+//   1. dynamic_areas, so spares, splits, and merges move members between
+//      area shards mid-run.
+//   2. the same schedule with inter-site latency > 0: a different
+//      schedule than sweep 1 (cross-area hops are slower) but again ONE
+//      digest across worker counts.
+//   3. a crash-heavy seed with inter-site latency: primary crashes land
+//      mid-window, where a worker-dependent merge order would show up
+//      first.
 #include <cstdio>
 
 #include "workload/chaos.h"
@@ -21,34 +19,25 @@ namespace {
 
 using namespace mykil;
 
-struct Combo {
-  unsigned workers;
-  bool round_robin;
-};
+constexpr unsigned kWorkers[] = {1, 2, 4, 8};
 
-constexpr Combo kCombos[] = {
-    {1, false}, {1, true}, {2, false}, {2, true}, {8, false}, {8, true},
-};
-
-/// Run the schedule for every placement x workers combo; return true iff
-/// all digests match the first and every run converged.
+/// Run the schedule at every worker count; return true iff all digests
+/// match the first and every run converged.
 bool sweep(const char* name, const workload::ChaosOptions& base) {
   std::uint64_t digest = 0;
-  for (const Combo& c : kCombos) {
+  for (unsigned workers : kWorkers) {
     workload::ChaosOptions opt = base;
-    opt.workers = c.workers;
-    opt.round_robin_placement = c.round_robin;
+    opt.workers = workers;
     workload::ChaosReport rep = workload::run_chaos(opt);
-    std::printf("parallel_placement[%s]: workers=%u %-11s digest=%016llx %s\n",
-                name, c.workers, c.round_robin ? "round-robin" : "locality",
-                static_cast<unsigned long long>(rep.digest),
+    std::printf("parallel_placement[%s]: workers=%u digest=%016llx %s\n",
+                name, workers, static_cast<unsigned long long>(rep.digest),
                 rep.converged() ? "converged" : "FAILED");
     if (!rep.converged()) return false;
     if (digest == 0) {
       digest = rep.digest;
     } else if (rep.digest != digest) {
-      std::printf("parallel_placement[%s]: FAIL — digest depends on "
-                  "placement or worker count\n", name);
+      std::printf("parallel_placement[%s]: FAIL — digest depends on the "
+                  "worker count\n", name);
       return false;
     }
   }
@@ -66,21 +55,20 @@ int main() {
   opt.dynamic_areas = true;
   if (!sweep("dynamic", opt)) return 1;
 
-  // Sweep 2: WAN split between areas. The engine widens its window to
-  // base + inter-site latency; the digest moves vs sweep 1 (a different
-  // schedule) but must stay placement- and worker-invariant.
+  // Sweep 2: WAN split between areas. The digest moves vs sweep 1 (a
+  // different schedule) but must stay worker-invariant.
   opt.inter_site_latency = net::usec(500);
-  if (!sweep("dynamic+lookahead", opt)) return 1;
+  if (!sweep("dynamic+wan", opt)) return 1;
 
-  // Sweep 3: crash-heavy seed under the widened lookahead — faults land
-  // mid-window where merge-order bugs would first desynchronize shards.
+  // Sweep 3: crash-heavy seed with the WAN split — faults land mid-window
+  // where merge-order bugs would first desynchronize shards.
   workload::ChaosOptions crash;
   crash.seed = 2;
   crash.crash_primaries = true;
   crash.inter_site_latency = net::usec(500);
-  if (!sweep("faults+lookahead", crash)) return 1;
+  if (!sweep("faults+wan", crash)) return 1;
 
   std::printf("parallel_placement: PASS — one digest per schedule across "
-              "6 placement/worker combos each\n");
+              "workers 1/2/4/8\n");
   return 0;
 }
