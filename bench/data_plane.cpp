@@ -1,19 +1,19 @@
 // End-to-end encrypted-multicast data-plane benchmark (DESIGN.md 12).
 //
-// One source seals application packets under a long-lived group key
-// (Speck128-CTR + truncated HMAC-SHA256 via crypto::DataPlaneKey — the
-// exact sym_seal wire format Member::send_data puts on the wire), fans
-// each packet out to every group member through the zero-copy multicast
-// path, and every member authenticates + decrypts what it receives.
-// Members batch four packets and open them through DataPlaneKey::open4,
-// so tag verification runs the interleaved 4-lane SHA-256 kernel — the
-// receive shape the SIMD work targets.
+// Runs the Iolus-style data path members actually run (paper Section III;
+// Member::send_data / Member::handle_data). For each application packet
+// the source draws a fresh data key K_d, seals K_d under the long-lived
+// group key through a crypto::DataPlaneKey and the payload under K_d with
+// sym_seal, and multicasts the two-box kData envelope to every member
+// through the zero-copy fan-out. Each member opens the packet when it
+// arrives: the key box through the group DataPlaneKey, then the payload
+// with sym_open under K_d.
 //
 // Reported: MB/s of verified plaintext through the members, packets/sec,
-// and per-packet ns split into encrypt (source seal) / auth+decrypt
-// (member open4) / deliver (engine fan-out, i.e. run() wall minus crypto
-// inside it), all fed through obs histograms. The dispatched kernel names
-// are printed and recorded so a trajectory row says what it measured.
+// and per-packet ns split into encrypt (source: both seals) / auth+decrypt
+// (member: both opens) / deliver (engine fan-out, i.e. run() wall minus
+// crypto inside it), all fed through obs histograms. The dispatched kernel
+// names are printed and recorded so a trajectory row says what it measured.
 //
 // Appends one JSONL object (suite "data_plane") per run via --json_out —
 // BENCH_sim.json at the repo root records the trajectory across commits:
@@ -28,13 +28,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
+#include "common/error.h"
+#include "common/wire.h"
 #include "crypto/cpu_features.h"
 #include "crypto/data_plane.h"
 #include "crypto/prng.h"
+#include "crypto/sealed.h"
+#include "mykil/wire.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 
@@ -46,54 +50,66 @@ const net::Label kDataLabel{"dataplane"};
 
 obs::MetricsRegistry g_metrics;
 
-/// Group member: buffers four sealed packets (refcounted Payload handles,
-/// no byte copies) and opens them as one open4 batch.
+/// One data packet as Member::send_data builds it: msg id, sender, K_d
+/// sealed under the group key, payload sealed under K_d.
+Bytes build_packet(const crypto::DataPlaneKey& group, std::uint64_t sender,
+                   ByteView payload, crypto::Prng& prng) {
+  crypto::SymmetricKey data_key = crypto::SymmetricKey::random(prng);
+  WireWriter w;
+  w.u64(prng.next_u64());
+  w.u64(sender);
+  w.bytes(group.seal(data_key.bytes(), prng));
+  w.bytes(crypto::sym_seal(data_key, payload, prng));
+  return core::envelope(core::MsgType::kData, w.data());
+}
+
+/// Open a packet as Member::handle_data does; nullopt if the key box does
+/// not open under the group key. A bad payload tag throws AuthError.
+std::optional<Bytes> open_packet(const crypto::DataPlaneKey& group,
+                                 ByteView packet) {
+  core::Envelope env = core::parse_envelope(packet);
+  WireReader r(env.box);
+  (void)r.u64();  // msg id
+  (void)r.u64();  // sender
+  Bytes key_box = r.bytes();
+  Bytes payload_box = r.bytes();
+  r.expect_done();
+  std::optional<Bytes> dk_raw = group.try_open(key_box);
+  if (!dk_raw) return std::nullopt;
+  crypto::SymmetricKey data_key(std::move(*dk_raw));
+  return crypto::sym_open(data_key, payload_box);
+}
+
+/// Group member: opens every packet on arrival. The group DataPlaneKey is
+/// shared (every member holds the same group key), so a million members
+/// cost one Speck schedule and one pair of HMAC pads, not a million.
 class SinkMember : public net::Node {
  public:
-  const crypto::DataPlaneKey* key = nullptr;  ///< shared, owned by main
+  const crypto::DataPlaneKey* group_key = nullptr;  ///< owned by main
 
   void on_message(const net::Message& msg) override {
-    pending_[pending_count_++] = msg.payload;
-    if (pending_count_ < 4) return;
-    pending_count_ = 0;
-    open_batch(4);
-  }
-
-  /// Open whatever is buffered (the final partial batch, if any).
-  void flush() {
-    if (pending_count_ == 0) return;
-    std::size_t n = pending_count_;
-    pending_count_ = 0;
-    open_batch(n);
+    auto t0 = std::chrono::steady_clock::now();
+    std::optional<Bytes> pt;
+    try {
+      pt = open_packet(*group_key, msg.payload.view());
+    } catch (const Error&) {
+      // Malformed packet or bad payload tag: counted as a failure below.
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    open_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    if (pt) {
+      ++verified_ok;
+      plaintext_bytes += pt->size();
+    } else {
+      ++verify_failed;
+    }
   }
 
   std::uint64_t verified_ok = 0;
   std::uint64_t verify_failed = 0;
   std::uint64_t plaintext_bytes = 0;
-  std::uint64_t open_ns = 0;  ///< time spent inside open4 on this member
-
- private:
-  void open_batch(std::size_t n) {
-    std::array<ByteView, 4> views{};  // empty slots reject, not throw
-    for (std::size_t i = 0; i < n; ++i) views[i] = pending_[i].view();
-    auto t0 = std::chrono::steady_clock::now();
-    crypto::DataPlaneKey::Open4Result r = key->open4(views);
-    auto t1 = std::chrono::steady_clock::now();
-    open_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (r.ok[i]) {
-        ++verified_ok;
-        plaintext_bytes += r.plaintexts[i].size();
-      } else {
-        ++verify_failed;
-      }
-    }
-    for (std::size_t i = 0; i < 4; ++i) pending_[i] = net::Payload{};
-  }
-
-  std::array<net::Payload, 4> pending_;
-  std::size_t pending_count_ = 0;
+  std::uint64_t open_ns = 0;  ///< time spent opening packets on this member
 };
 
 class SourceNode : public net::Node {
@@ -103,7 +119,7 @@ class SourceNode : public net::Node {
 
 struct Options {
   std::size_t members = 1000000;
-  std::size_t packets = 8;       // sealed per run; batches of 4 at members
+  std::size_t packets = 8;       // sealed and multicast per run
   std::size_t payload_b = 1024;  // plaintext bytes per packet
   std::string json_out;
   bool smoke = false;
@@ -141,7 +157,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       opt.smoke = true;
       opt.members = 2000;
-      opt.packets = 10;  // deliberately not a multiple of 4: tests flush()
+      opt.packets = 10;
       opt.payload_b = 256;
     } else if (flag_value(argv[i], "--members", v)) {
       opt.members = static_cast<std::size_t>(std::atoll(v.c_str()));
@@ -157,12 +173,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::print_header("data_plane: SIMD encrypted multicast, end to end");
+  bench::print_header("data_plane: encrypted multicast, end to end");
   std::printf("%zu members, %zu packets x %zu B plaintext; kernels: "
-              "speck=%s sha256=%s sha256_multi=%s\n",
+              "speck=%s sha256=%s; %u host cores\n",
               opt.members, opt.packets, opt.payload_b,
               crypto::speck_impl_name(), crypto::sha256_impl_name(),
-              crypto::sha256_multi_impl_name());
+              bench::host_cores());
 
   bool ok = true;
 
@@ -186,7 +202,7 @@ int main(int argc, char** argv) {
   std::deque<SinkMember> members;  // stable addresses for Network
   for (std::size_t i = 0; i < opt.members; ++i) {
     SinkMember& m = members.emplace_back();
-    m.key = &dpk;
+    m.group_key = &dpk;
     net.attach(m);
     net.join_group(group, m.id());
   }
@@ -194,10 +210,10 @@ int main(int argc, char** argv) {
   double setup_s = std::chrono::duration<double>(t1 - t0).count();
 
   obs::Histogram& h_encrypt = g_metrics.histogram("dataplane.encrypt_ns");
-  obs::Histogram& h_open = g_metrics.histogram("dataplane.open4_ns");
+  obs::Histogram& h_open = g_metrics.histogram("dataplane.open_ns");
   obs::Histogram& h_deliver = g_metrics.histogram("dataplane.deliver_ms");
 
-  // ---- measured phase: seal, multicast, drain, open ----
+  // ---- measured phase: seal, multicast, drain (members open) ----
   crypto::Prng data_prng(0xFEED);
   std::uint64_t encrypt_ns_total = 0;
   std::uint64_t run_ns_total = 0;
@@ -205,14 +221,14 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < opt.packets; ++p) {
     Bytes payload = data_prng.bytes(opt.payload_b);
     auto e0 = std::chrono::steady_clock::now();
-    Bytes box = dpk.seal(payload, data_prng);
+    Bytes packet = build_packet(dpk, source.id(), payload, data_prng);
     auto e1 = std::chrono::steady_clock::now();
     std::uint64_t ens = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(e1 - e0).count());
     encrypt_ns_total += ens;
     h_encrypt.record(ens);
 
-    net.multicast(source.id(), group, kDataLabel, std::move(box));
+    net.multicast(source.id(), group, kDataLabel, std::move(packet));
     auto r0 = std::chrono::steady_clock::now();
     net.run();
     auto r1 = std::chrono::steady_clock::now();
@@ -221,7 +237,6 @@ int main(int argc, char** argv) {
     run_ns_total += rns;
     h_deliver.record(rns / 1000000);
   }
-  for (SinkMember& m : members) m.flush();
   auto t3 = std::chrono::steady_clock::now();
   double wall_s = std::chrono::duration<double>(t3 - t2).count();
 
@@ -263,7 +278,7 @@ int main(int argc, char** argv) {
   std::printf("per packet: encrypt %.0f ns (source), auth+decrypt %.0f ns "
               "(member), deliver %.0f ns (engine)\n",
               enc_pp, open_pp, deliver_pp);
-  std::printf("histograms: encrypt p50 %.0f ns, open4/pkt p50 %.0f ns, "
+  std::printf("histograms: encrypt p50 %.0f ns, open/pkt p50 %.0f ns, "
               "drain p50 %.0f ms\n",
               h_encrypt.percentile(50), h_open.percentile(50),
               h_deliver.percentile(50));
@@ -286,17 +301,16 @@ int main(int argc, char** argv) {
     std::fprintf(
         json,
         "{\"suite\": \"data_plane\", \"members\": %zu, \"packets\": %zu, "
-        "\"payload_b\": %zu, \"setup_s\": %.2f, \"wall_s\": %.3f, "
-        "\"mb_s\": %.1f, \"packets_per_sec\": %.0f, "
+        "\"payload_b\": %zu, \"host_cores\": %u, \"setup_s\": %.2f, "
+        "\"wall_s\": %.3f, \"mb_s\": %.1f, \"packets_per_sec\": %.0f, "
         "\"encrypt_ns_per_pkt\": %.0f, \"auth_decrypt_ns_per_pkt\": %.0f, "
         "\"deliver_ns_per_pkt\": %.0f, \"verified\": %llu, "
         "\"verify_failed\": %llu, \"speck_impl\": \"%s\", "
-        "\"sha256_impl\": \"%s\", \"sha256_multi_impl\": \"%s\", "
-        "\"peak_rss_mb\": %zu, \"ok\": %s}\n",
-        opt.members, opt.packets, opt.payload_b, setup_s, wall_s, mb_s,
-        pkts_s, enc_pp, open_pp, deliver_pp, (unsigned long long)verified,
-        (unsigned long long)failed, crypto::speck_impl_name(),
-        crypto::sha256_impl_name(), crypto::sha256_multi_impl_name(),
+        "\"sha256_impl\": \"%s\", \"peak_rss_mb\": %zu, \"ok\": %s}\n",
+        opt.members, opt.packets, opt.payload_b, bench::host_cores(), setup_s,
+        wall_s, mb_s, pkts_s, enc_pp, open_pp, deliver_pp,
+        (unsigned long long)verified, (unsigned long long)failed,
+        crypto::speck_impl_name(), crypto::sha256_impl_name(),
         bench::peak_rss_mb(), ok ? "true" : "false");
     std::fclose(json);
     std::printf("appended -> %s\n", opt.json_out.c_str());

@@ -18,7 +18,6 @@ CpuFeatures detect() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return f;
   f.sse2 = (edx & bit_SSE2) != 0;
-  f.ssse3 = (ecx & bit_SSSE3) != 0;
   f.sse41 = (ecx & bit_SSE4_1) != 0;
   // AVX needs CPU support, OS xsave support, and the OS actually saving
   // the ymm state (xgetbv XCR0 bits 1|2); without the last check a kernel
@@ -79,16 +78,6 @@ const char* speck_impl_name() {
 const char* sha256_impl_name() {
   if (force_scalar()) return "scalar";
   return cpu_features().sha_ni ? "sha_ni" : "scalar";
-}
-
-const char* sha256_multi_impl_name() {
-  if (force_scalar()) return "scalar";
-  const CpuFeatures& f = cpu_features();
-  // Mirrors multi4_core's dispatch: SHA-NI single-stream per lane beats
-  // the 4-lane AVX2 interleave, so it wins when both are present.
-  if (f.sha_ni) return "sha_ni";
-  if (f.avx2) return "avx2";
-  return "scalar";
 }
 
 }  // namespace mykil::crypto

@@ -1,11 +1,12 @@
 // Runtime CPU-feature detection and SIMD dispatch policy for the crypto
 // data plane (DESIGN.md 12).
 //
-// The vectorized Speck128-CTR and SHA-256 kernels are selected at runtime
-// from cpuid so one binary runs everywhere: AVX2 where available, SSE2 on
-// any x86-64, and the portable scalar code elsewhere. The scalar code is
-// simultaneously the correctness oracle — `crypto_simd_test` cross-checks
-// every SIMD path against it, and benches pin either side.
+// Two kernels are selected at runtime from cpuid, so one binary runs
+// everywhere: Speck128-CTR takes AVX2 where available and SSE2 on any
+// x86-64, and SHA-256 takes the SHA extension (SHA-NI) where present. Every
+// other host runs the portable scalar code, which is also the correctness
+// oracle — `crypto_simd_test` cross-checks each kernel against it, and
+// benches pin either side.
 //
 // Two override knobs force the scalar path:
 //   - environment: MYKIL_FORCE_SCALAR=1 (read once, at first query)
@@ -21,7 +22,6 @@ namespace mykil::crypto {
 /// once via cpuid (plus xgetbv for AVX OS support).
 struct CpuFeatures {
   bool sse2 = false;    ///< baseline on x86-64
-  bool ssse3 = false;   ///< pshufb (byte-rotate / byteswap shuffles)
   bool sse41 = false;
   bool avx = false;     ///< requires OS xsave support (xgetbv)
   bool avx2 = false;    ///< 4x64-bit lanes: the Speck128 fast path
@@ -47,9 +47,5 @@ const char* speck_impl_name();
 
 /// Same for the SHA-256 compression dispatcher: "sha_ni" or "scalar".
 const char* sha256_impl_name();
-
-/// And for the 4-lane interleaved SHA-256 used by sha256_multi/HMAC batch
-/// verification: "avx2", "ssse3", or "scalar".
-const char* sha256_multi_impl_name();
 
 }  // namespace mykil::crypto

@@ -2,8 +2,10 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
+#include "crypto/sealed.h"
 
 namespace mykil::crypto {
 
@@ -11,6 +13,7 @@ namespace {
 
 constexpr std::size_t kNonceLen = 8;
 constexpr std::size_t kTagLen = 16;
+static_assert(kSealOverhead == kNonceLen + kTagLen);
 
 inline std::uint64_t nonce_le64(const std::uint8_t* p) {
   std::uint64_t v;
@@ -43,35 +46,20 @@ Bytes DataPlaneKey::seal(ByteView plaintext, Prng& prng) const {
   return out;
 }
 
-Bytes DataPlaneKey::open(ByteView sealed) const {
-  if (sealed.size() < kNonceLen + kTagLen)
-    throw AuthError("sealed box too short");
+std::optional<Bytes> DataPlaneKey::try_open(ByteView sealed) const {
+  if (sealed.size() < kNonceLen + kTagLen) return std::nullopt;
   ByteView body(sealed.data(), sealed.size() - kTagLen);
   ByteView tag(sealed.data() + sealed.size() - kTagLen, kTagLen);
-  if (!mac_.verify(body, tag)) throw AuthError("sealed box tag mismatch");
+  if (!mac_.verify(body, tag)) return std::nullopt;
   Bytes pt(sealed.begin() + kNonceLen, sealed.end() - kTagLen);
   cipher_.ctr_xor(nonce_le64(sealed.data()), 0, pt.data(), pt.size());
   return pt;
 }
 
-DataPlaneKey::Open4Result DataPlaneKey::open4(
-    const std::array<ByteView, 4>& sealed) const {
-  Open4Result result;
-  std::array<ByteView, 4> bodies;
-  std::array<ByteView, 4> tags;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (sealed[i].size() < kNonceLen + kTagLen) continue;  // empty tag rejects
-    bodies[i] = ByteView(sealed[i].data(), sealed[i].size() - kTagLen);
-    tags[i] = ByteView(sealed[i].data() + sealed[i].size() - kTagLen, kTagLen);
-  }
-  result.ok = mac_.verify4(bodies, tags);
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (!result.ok[i]) continue;
-    Bytes pt(sealed[i].begin() + kNonceLen, sealed[i].end() - kTagLen);
-    cipher_.ctr_xor(nonce_le64(sealed[i].data()), 0, pt.data(), pt.size());
-    result.plaintexts[i] = std::move(pt);
-  }
-  return result;
+Bytes DataPlaneKey::open(ByteView sealed) const {
+  std::optional<Bytes> pt = try_open(sealed);
+  if (!pt) throw AuthError("sealed box too short or tag mismatch");
+  return std::move(*pt);
 }
 
 }  // namespace mykil::crypto

@@ -1,19 +1,17 @@
-// Precomputed data-plane sealing context (DESIGN.md 12).
+// Precomputed sealing context: the one implementation of the sealed box
+// (DESIGN.md 12).
 //
-// sym_seal/sym_open re-derive the "enc"/"mac" subkeys, re-run the Speck key
-// schedule, and re-absorb the HMAC pads on every call. That is fine for
-// control-plane messages (a handful per protocol step) but dominates the
-// cost of a high-rate application data stream sealed under one long-lived
-// group key. DataPlaneKey hoists all of that per-key work into the
-// constructor; seal/open then touch only the message bytes, which is where
-// the SIMD Speck-CTR and SHA-256 kernels earn their keep.
-//
-// The wire format is exactly sym_seal's — nonce(8) || ciphertext ||
-// HMAC-SHA256 tag truncated to 16 bytes, subkeys derive("enc")/derive("mac")
-// — so boxes sealed here open with sym_open and vice versa, byte for byte.
+// A box is nonce(8) || Speck128-CTR ciphertext || HMAC-SHA256 tag truncated
+// to 16 bytes, with subkeys derive("enc")/derive("mac") of the box key.
+// DataPlaneKey runs the per-key work — subkey derivation, the Speck key
+// schedule, the HMAC pad compressions — once in its constructor; seal/open
+// then touch only the message bytes. sym_seal/sym_open (crypto/sealed.h)
+// are one-shot wrappers over it for control-plane messages, so both produce
+// the same bytes. Member caches one per group key for the application data
+// stream (Member::data_plane_for).
 #pragma once
 
-#include <array>
+#include <optional>
 
 #include "common/bytes.h"
 #include "crypto/hmac.h"
@@ -27,23 +25,17 @@ class DataPlaneKey {
  public:
   explicit DataPlaneKey(const SymmetricKey& key);
 
-  /// Seal `plaintext`; identical bytes to sym_seal(key, plaintext, prng)
-  /// given the same PRNG state (it draws the same 8 nonce bytes).
+  /// Seal `plaintext`, drawing the 8 nonce bytes from `prng`.
   [[nodiscard]] Bytes seal(ByteView plaintext, Prng& prng) const;
 
-  /// Open a box sealed by seal()/sym_seal; throws AuthError on a bad tag.
-  [[nodiscard]] Bytes open(ByteView sealed) const;
+  /// Open a box sealed under this key; nullopt if the box is too short or
+  /// its tag does not verify (a wrong key and tampering look the same).
+  /// The receive paths that try a current key and then a previous one use
+  /// this form, so a miss costs no exception.
+  [[nodiscard]] std::optional<Bytes> try_open(ByteView sealed) const;
 
-  /// Open four boxes in one batch: tags verify through HmacKey::verify4's
-  /// interleaved SHA-256 lanes, then each box decrypts. Per-slot results;
-  /// a slot whose tag fails (or that is too short) comes back empty with
-  /// ok[i] == false instead of throwing, so one corrupt packet cannot mask
-  /// the other three. This is the receive shape bench/data_plane.cpp uses.
-  struct Open4Result {
-    std::array<Bytes, 4> plaintexts;
-    std::array<bool, 4> ok{};
-  };
-  [[nodiscard]] Open4Result open4(const std::array<ByteView, 4>& sealed) const;
+  /// try_open that throws AuthError where try_open returns nullopt.
+  [[nodiscard]] Bytes open(ByteView sealed) const;
 
  private:
   Speck128 cipher_;  ///< key schedule for derive("enc"), run once

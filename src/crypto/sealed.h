@@ -2,7 +2,9 @@
 //
 // sym_seal/sym_open: Speck128-CTR + HMAC-SHA256 (encrypt-then-MAC). This is
 // the "E_K(...)" operation the paper performs with its 128-bit area and
-// auxiliary keys.
+// auxiliary keys. Both are one-shot wrappers over crypto::DataPlaneKey, the
+// one implementation of the box; a caller that seals or opens many boxes
+// under one key builds a DataPlaneKey once instead.
 //
 // pk_encrypt/pk_decrypt: RSA-OAEP when the message fits in one RSA block,
 // otherwise the hybrid scheme the paper adopts in Section V-D ("the area

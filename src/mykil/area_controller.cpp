@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "crypto/data_plane.h"
 #include "crypto/sealed.h"
 
 namespace mykil::core {
@@ -36,16 +37,8 @@ constexpr std::uint8_t kAliveFromMember = 1;
 std::optional<Bytes> open_fallback(const crypto::SymmetricKey& current,
                                    const std::optional<crypto::SymmetricKey>& prev,
                                    ByteView box) {
-  try {
-    return crypto::sym_open(current, box);
-  } catch (const AuthError&) {
-  }
-  if (prev) {
-    try {
-      return crypto::sym_open(*prev, box);
-    } catch (const AuthError&) {
-    }
-  }
+  if (auto raw = crypto::DataPlaneKey(current).try_open(box)) return raw;
+  if (prev) return crypto::DataPlaneKey(*prev).try_open(box);
   return std::nullopt;
 }
 

@@ -400,31 +400,19 @@ void Member::handle_data(const net::Message& msg) {
   r.expect_done();
   if (!seen_data_.insert(msg_id).second) return;
 
-  auto open_key = [&]() -> std::optional<crypto::SymmetricKey> {
-    try {
-      return crypto::SymmetricKey(
-          data_plane_for(keys_.group_key()).open(key_box));
-    } catch (const AuthError&) {
-    }
-    if (keys_.previous_group_key()) {
-      try {
-        return crypto::SymmetricKey(
-            data_plane_for(*keys_.previous_group_key()).open(key_box));
-      } catch (const AuthError&) {
-      }
-    }
-    return std::nullopt;
-  };
-
-  auto data_key = open_key();
-  if (!data_key) {
+  std::optional<Bytes> dk_raw =
+      data_plane_for(keys_.group_key()).try_open(key_box);
+  if (!dk_raw && keys_.previous_group_key())
+    dk_raw = data_plane_for(*keys_.previous_group_key()).try_open(key_box);
+  if (!dk_raw) {
     ++undecryptable_count_;
     // Data sealed under a group key we don't hold means we are behind the
     // rekey stream (or the sender is); a catch-up resolves the former.
     request_key_recovery("undecryptable-data");
     return;
   }
-  received_data_.push_back(crypto::sym_open(*data_key, payload_box));
+  crypto::SymmetricKey data_key(std::move(*dk_raw));
+  received_data_.push_back(crypto::sym_open(data_key, payload_box));
 }
 
 void Member::handle_takeover(const net::Message& msg) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "crypto/data_plane.h"
 #include "crypto/prng.h"
 #include "crypto/sealed.h"
 
@@ -47,6 +48,7 @@ TEST(SymSeal, WrongKeyRejected) {
   SymmetricKey k2 = SymmetricKey::random(prng);
   Bytes box = sym_seal(k1, to_bytes("secret"), prng);
   EXPECT_THROW(sym_open(k2, box), AuthError);
+  EXPECT_EQ(DataPlaneKey(k2).try_open(box), std::nullopt);
 }
 
 TEST(SymSeal, TamperedCiphertextRejected) {
@@ -55,6 +57,7 @@ TEST(SymSeal, TamperedCiphertextRejected) {
   Bytes box = sym_seal(k, to_bytes("secret"), prng);
   box[10] ^= 1;
   EXPECT_THROW(sym_open(k, box), AuthError);
+  EXPECT_EQ(DataPlaneKey(k).try_open(box), std::nullopt);
 }
 
 TEST(SymSeal, TamperedTagRejected) {
@@ -63,12 +66,14 @@ TEST(SymSeal, TamperedTagRejected) {
   Bytes box = sym_seal(k, to_bytes("secret"), prng);
   box.back() ^= 1;
   EXPECT_THROW(sym_open(k, box), AuthError);
+  EXPECT_EQ(DataPlaneKey(k).try_open(box), std::nullopt);
 }
 
 TEST(SymSeal, TruncatedBoxRejected) {
   Prng prng(8);
   SymmetricKey k = SymmetricKey::random(prng);
   EXPECT_THROW(sym_open(k, Bytes(5, 0)), AuthError);
+  EXPECT_EQ(DataPlaneKey(k).try_open(Bytes(5, 0)), std::nullopt);
 }
 
 TEST(SymSeal, NoncesVary) {
