@@ -50,6 +50,12 @@ inline unsigned host_cores() {
   return n > 0 ? static_cast<unsigned>(n) : 0;
 }
 
+/// The CMake build type this bench was compiled under ("RelWithDebInfo",
+/// "Debug", ...; bench/CMakeLists.txt defines MYKIL_BUILD_TYPE). JSON rows
+/// record it next to host_cores: a timing says little without the build
+/// that produced it.
+inline const char* build_type() { return MYKIL_BUILD_TYPE; }
+
 /// Print a header line followed by a separator sized to it.
 inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
@@ -65,6 +71,7 @@ inline void print_rule(int width = 78) {
 /// Collects (name, ns/op, iterations) rows and writes them as a small JSON
 /// document, so benchmark trajectories (e.g. BENCH_crypto.json at the repo
 /// root) can be recorded and diffed across commits without a JSON library.
+/// Every row carries host_cores and build_type.
 class BenchJson {
  public:
   explicit BenchJson(std::string suite) : suite_(std::move(suite)) {}
@@ -96,7 +103,9 @@ class BenchJson {
       if (r.mb_s > 0) std::fprintf(f, ", \"mb_s\": %.1f", r.mb_s);
       if (!r.impl.empty())
         std::fprintf(f, ", \"impl\": \"%s\"", r.impl.c_str());
-      std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
+      std::fprintf(f, ", \"host_cores\": %u, \"build_type\": \"%s\"}%s\n",
+                   host_cores(), build_type(),
+                   i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     return std::fclose(f) == 0;

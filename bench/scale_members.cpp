@@ -34,11 +34,9 @@
 // --shards caps how many shards the areas spread over (default: one shard
 // per area, the legacy layout); fewer shards than workers is a
 // configuration error the sweep will show as zero speedup, not a crash.
-// --xarea-us adds an inter-site latency (one site per area), which slows
-// cross-area hops.
 //
 //   scale_members [--members=100000] [--areas=20] [--rounds=10]
-//                 [--workers=1,2,8] [--shards=0] [--xarea-us=0]
+//                 [--workers=1,2,8] [--shards=0]
 //                 [--smoke] [--trace] [--engine-profile]
 //                 [--json_out=BENCH_sim.json]
 #include <chrono>
@@ -130,7 +128,6 @@ struct Options {
   std::size_t rounds = 10;
   std::vector<unsigned> workers{1};
   std::size_t shards = 0;     ///< 0 = one shard per area (legacy layout)
-  std::uint64_t xarea_us = 0;  ///< inter-site latency (us); 0 = flat LAN
   std::string json_out;
   bool trace = false;           ///< traced rerun + overhead/digest check
   bool engine_profile = false;  ///< per-shard engine accounting in the JSON
@@ -180,8 +177,7 @@ RunResult run_one(const Options& opt, unsigned workers, bool traced) {
   RunResult res;
   const std::size_t per_area = opt.members / opt.areas;
 
-  net::NetworkConfig ncfg;  // default latency model, no loss: the engine
-  ncfg.inter_site_latency = net::usec(opt.xarea_us);
+  const net::NetworkConfig ncfg;  // default latency model, no loss
   net::Network net(ncfg);
   net.set_workers(workers);
   net.enable_engine_profile(opt.engine_profile);
@@ -197,14 +193,12 @@ RunResult run_one(const Options& opt, unsigned workers, bool traced) {
     net.attach(area.hub);
     // One shard per area by default (shard 0 is left to drivers in the
     // full stack; the bench has no such node); --shards folds the areas
-    // onto a fixed shard count. One site per area either way.
+    // onto a fixed shard count.
     std::size_t shard_slots = opt.shards > 0
                                   ? opt.shards
                                   : net::Network::kMaxShards - 1;
     std::uint32_t shard = 1 + static_cast<std::uint32_t>(a % shard_slots);
-    auto site = static_cast<std::uint32_t>(a);
     net.set_shard(area.hub.id(), shard);
-    net.set_site(area.hub.id(), site);
     area.group = net.create_group();
     lkh::KeyTree::Config tcfg;
     tcfg.fanout = 4;
@@ -218,7 +212,6 @@ RunResult run_one(const Options& opt, unsigned workers, bool traced) {
       ScaleMember& member = members.emplace_back();
       net.attach(member);
       net.set_shard(member.id(), shard);
-      net.set_site(member.id(), site);
       net.join_group(area.group, member.id());
       lkh::MemberId mid = next_mid++;
       auto out = area.tree->join(mid);
@@ -417,8 +410,6 @@ int main(int argc, char** argv) {
       if (opt.workers.empty()) opt.workers = {1};
     } else if (flag_value(argv[i], "--shards", v)) {
       opt.shards = static_cast<std::size_t>(std::atoll(v.c_str()));
-    } else if (flag_value(argv[i], "--xarea-us", v)) {
-      opt.xarea_us = static_cast<std::uint64_t>(std::atoll(v.c_str()));
     } else if (flag_value(argv[i], "--json_out", v)) {
       opt.json_out = v;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -440,8 +431,6 @@ int main(int argc, char** argv) {
   for (unsigned w : opt.workers) std::printf(" %u", w);
   std::printf("  [%u host cores", bench::host_cores());
   if (opt.shards > 0) std::printf(", %zu shards", opt.shards);
-  if (opt.xarea_us > 0) std::printf(", xarea %llu us",
-                                    (unsigned long long)opt.xarea_us);
   std::printf("]\n");
 
   bool ok = true;
@@ -526,7 +515,7 @@ int main(int argc, char** argv) {
           json,
           "{\"suite\": \"scale_members\", \"areas\": %zu, "
           "\"members\": %zu, \"rounds\": %zu, \"workers\": %u, "
-          "\"host_cores\": %u, \"shards\": %zu, \"xarea_us\": %llu, "
+          "\"host_cores\": %u, \"shards\": %zu, "
           "\"setup_s\": %.2f, \"run_s\": %.3f, \"events\": %zu, "
           "\"events_per_sec\": %.0f, \"rekey_multicasts\": %llu, "
           "\"fanout_copied_bytes\": %llu, \"fanout_expanded_bytes\": %llu, "
@@ -536,7 +525,7 @@ int main(int argc, char** argv) {
           "\"in_sync\": %zu, "
           "\"digest\": \"%016llx\"%s, \"ok\": %s}\n",
           opt.areas, r.members, opt.rounds, workers, bench::host_cores(),
-          opt.shards, (unsigned long long)opt.xarea_us, r.setup_s, r.run_s,
+          opt.shards, r.setup_s, r.run_s,
           r.events, r.events_per_sec, (unsigned long long)r.rekey_multicasts,
           (unsigned long long)r.fanout_copied_bytes,
           (unsigned long long)r.fanout_expanded_bytes, r.fanout_reduction,

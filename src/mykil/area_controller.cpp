@@ -57,7 +57,7 @@ AreaController::AreaController(AcId ac_id, MykilConfig config,
       prng_(std::move(prng)),
       role_(role) {
   lkh::KeyTree::Config tree_cfg;
-  tree_cfg.fanout = config_.tree_fanout;
+  tree_cfg.fanout = kTreeFanout;
   tree_cfg.prune_on_leave = false;       // Section III-D
   tree_cfg.rekey_root_on_join = false;   // batching layer rotates the root
   tree_.emplace(tree_cfg, prng_.fork());
@@ -69,8 +69,7 @@ std::uint64_t AreaController::timer_token(std::uint64_t kind) const {
 
 void AreaController::ensure_arq() {
   if (arq_.bound()) return;
-  arq_.bind(network(), id(), config_.arq, config_.reliable_control,
-            prng_.next_u64());
+  arq_.bind(network(), id(), net::ArqConfig{}, prng_.next_u64());
   arq_.set_give_up_handler([this](net::NodeId to, const std::string&) {
     // Escalate to the existing failure-detection paths: an unreachable
     // member is evicted by the next scan, an unreachable parent triggers a
@@ -161,12 +160,6 @@ void AreaController::on_recover() {
       network().set_timer(id(), config_.heartbeat_interval,
                           timer_token(kTimerBackupWatch));
   }
-}
-
-bool AreaController::ts_fresh(net::SimTime ts) const {
-  net::SimTime now = network().now();
-  net::SimTime skew = now >= ts ? now - ts : ts - now;
-  return skew <= config_.ts_window;
 }
 
 void AreaController::multicast_area(net::Label label, Bytes payload) {
@@ -344,7 +337,8 @@ void AreaController::handle_join_step4(const net::Message& msg) {
   Bytes client_pubkey = r.bytes();
   net::SimDuration duration = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;  // replay (the paper's Timestamp check)
+  // Replay protection: the paper's Timestamp check.
+  if (!ts_fresh(network().now(), ts)) return;
 
   PendingJoin pj;
   pj.client_id = client_id;
@@ -523,7 +517,7 @@ void AreaController::handle_rejoin_step4(const net::Message& msg) {
   ClientId k_id = r.u64();
   net::SimTime ts = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   if (!directory_.verify(requester, env.box, env.sig)) return;
   const AcInfo* req_info = directory_.find(requester);
   if (req_info == nullptr) return;
@@ -577,7 +571,7 @@ void AreaController::handle_rejoin_step5(const net::Message& msg) {
   (void)r.bytes();  // AC_A's stored ticket copy; client's copy already checked
   net::SimTime ts = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   if (!directory_.verify(responder, env.box, env.sig)) return;
 
   auto it = awaiting_cohort_.find(k_id);
@@ -694,7 +688,7 @@ void AreaController::handle_uplink_join(const net::Message& msg) {
   AcId child = r.u64();
   net::SimTime ts = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   // The directory doubles as the authorization database AI: only listed
   // ACs may link (their key must verify the signature).
   if (!directory_.verify(child, env.box, env.sig)) return;
@@ -715,8 +709,8 @@ void AreaController::handle_uplink_join(const net::Message& msg) {
   std::vector<lkh::PathKey> path = admit(child, msg.from, child_pub_ser);
   net::SimTime now = network().now();
   members_[child].sealed_ticket =
-      issue_ticket(child, child_pub_ser, now, now + config_.ticket_validity);
-  members_[child].valid_until = now + config_.ticket_validity;
+      issue_ticket(child, child_pub_ser, now, now + kTicketValidity);
+  members_[child].valid_until = now + kTicketValidity;
 
   WireWriter w;
   w.u64(ac_id_);
@@ -746,7 +740,7 @@ void AreaController::handle_uplink_reply(const net::Message& msg) {
   net::SimTime ts = r.u64();
   std::uint64_t epoch = r.u64();
   r.expect_done();
-  if (parent != uplink_->parent_ac || !ts_fresh(ts)) return;
+  if (parent != uplink_->parent_ac || !ts_fresh(network().now(), ts)) return;
 
   uplink_->parent_group = parent_group;
   uplink_->keys.clear();
@@ -959,12 +953,6 @@ void AreaController::handle_rekey_from_parent(const net::Message& msg) {
   if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
   lkh::RekeyMessage rk = lkh::RekeyMessage::deserialize(env.box);
 
-  if (!config_.reliable_control) {
-    uplink_->keys.apply(rk);
-    if (rk.epoch > uplink_->epoch) uplink_->epoch = rk.epoch;
-    return;
-  }
-
   // Same gap-detection logic as Member::handle_rekey — in the parent's
   // area, this AC is just another member.
   if (rk.epoch <= uplink_->epoch) return;
@@ -995,7 +983,7 @@ void AreaController::handle_takeover(const net::Message& msg) {
   net::NodeId new_node = r.u32();
   net::SimTime ts = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   if (!directory_.verify(who, env.box, env.sig)) return;
   // Swap only when the directory does not already list the announced node
   // (promote_backup swaps roles; a repeated announcement must not undo it).
@@ -1037,7 +1025,7 @@ void AreaController::redirect_to_primary(const net::Message& msg) {
 // --------------------------------------------------------- key recovery
 
 void AreaController::request_uplink_recovery(const char* trigger) {
-  if (!config_.reliable_control || !uplink_ || !uplink_->ready) return;
+  if (!uplink_ || !uplink_->ready) return;
   net::SimTime now = network().now();
   if (uplink_->recovery_pending &&
       now - uplink_->last_recovery_request < config_.key_recovery_interval)
@@ -1061,7 +1049,6 @@ void AreaController::request_uplink_recovery(const char* trigger) {
 }
 
 void AreaController::handle_key_recovery_request(const net::Message& msg) {
-  if (!config_.reliable_control) return;
   Envelope env = parse_envelope(msg.payload);
   WireReader r(env.box);
   ClientId client = r.u64();
@@ -1080,7 +1067,7 @@ void AreaController::handle_key_recovery_request(const net::Message& msg) {
   if (rec.node != msg.from) return;  // anti-spoofing, as for leave requests
   net::SimTime now = network().now();
   if (rec.last_recovery_reply != 0 &&
-      now - rec.last_recovery_reply < config_.key_recovery_min_interval) {
+      now - rec.last_recovery_reply < kKeyRecoveryMinInterval) {
     if (auto* m = network().metrics())
       m->counter("ac.key_recovery_rate_limited").inc();
     return;
@@ -1162,7 +1149,7 @@ void AreaController::handle_area_map_update(const net::Message& msg) {
   net::SimTime ts = r.u64();
   Bytes dir_bytes = r.bytes();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   AcDirectory fresh = AcDirectory::deserialize(dir_bytes);
   bool was_active = active_in_map();
   if (!directory_.adopt(fresh)) return;  // stale or duplicate version
@@ -1227,7 +1214,7 @@ void AreaController::handle_migrate_request(const net::Message& msg) {
   std::uint32_t count = r.u32();
   net::SimTime ts = r.u64();
   r.expect_done();
-  if (!ts_fresh(ts)) return;
+  if (!ts_fresh(network().now(), ts)) return;
   if (target == ac_id_) return;
   migrate_target_ = target;
   migrate_quota_ = count;

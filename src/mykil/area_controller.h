@@ -277,7 +277,6 @@ class AreaController : public net::Node {
   [[nodiscard]] Bytes issue_ticket(ClientId client, ByteView pubkey,
                                    net::SimTime join_time,
                                    net::SimTime valid_until);
-  [[nodiscard]] bool ts_fresh(net::SimTime ts) const;
 
   AcId ac_id_;
   MykilConfig config_;

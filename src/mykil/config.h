@@ -1,12 +1,27 @@
 // Protocol parameters for Mykil (Sections III–IV).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
-#include "net/arq.h"
 #include "net/sim_time.h"
 
 namespace mykil::core {
+
+/// Key-tree fanout (Section III-C).
+inline constexpr unsigned kTreeFanout = 4;
+/// Ticket validity granted at registration.
+inline constexpr net::SimDuration kTicketValidity = net::sec(3600);
+/// AC-side per-member rate limit on key-recovery answers (each answer costs
+/// a public-key encryption; this bounds what a confused or malicious member
+/// can extract).
+inline constexpr net::SimDuration kKeyRecoveryMinInterval = net::msec(200);
+/// How often the RS's admission queue-drain timer refills the token bucket
+/// and services the backlog (DESIGN.md 14.2).
+inline constexpr net::SimDuration kAdmissionDrainInterval = net::msec(100);
+/// Backoff hint carried in a load-shed reply; the client's watchdog defers
+/// its join retry until it elapses.
+inline constexpr net::SimDuration kShedRetryAfter = net::sec(2);
 
 /// How an area controller handles a rejoin when the member's previous area
 /// controller is unreachable (Section IV-B's two options).
@@ -20,9 +35,6 @@ enum class PartitionedRejoinPolicy : std::uint8_t {
 };
 
 struct MykilConfig {
-  // ---- key tree (Section III-C) ----
-  unsigned tree_fanout = 4;
-
   // ---- batching (Section III-E) ----
   /// Aggregate join/leave events and rekey only when multicast data arrives
   /// or the rekey interval elapses. Disabling rekeys immediately per event.
@@ -61,28 +73,15 @@ struct MykilConfig {
   /// Client-side retry: a rejoin that got no answer (denied, lost, or the
   /// old AC still counted us as active) is retried after this long.
   net::SimDuration rejoin_retry_interval = net::sec(3);
-  /// Ticket validity granted at registration.
-  net::SimDuration ticket_validity = net::sec(3600);
 
   // ---- replication (Section IV-C) ----
   net::SimDuration heartbeat_interval = net::sec(1);
   /// Backup takes over after this many missed heartbeats.
   unsigned heartbeat_misses = 3;
 
-  // ---- reliable control plane (ARQ + rekey gap recovery, DESIGN.md 9) ----
-  /// Master switch: wrap unicast control traffic in the ARQ layer and let
-  /// members recover missed rekeys via KeyRecoveryRequest. Disabling this
-  /// restores the fire-and-forget control plane (the chaos harness uses it
-  /// as a regression guard that the layer is load-bearing).
-  bool reliable_control = true;
-  /// Retransmission parameters for the ARQ layer (net/arq.h).
-  net::ArqConfig arq;
+  // ---- key recovery (rekey gap recovery over ARQ, DESIGN.md 9) ----
   /// Client-side spacing between KeyRecoveryRequest retries.
   net::SimDuration key_recovery_interval = net::msec(500);
-  /// AC-side per-member rate limit on key-recovery answers (each answer
-  /// costs a public-key encryption; this bounds what a confused or
-  /// malicious member can extract).
-  net::SimDuration key_recovery_min_interval = net::msec(200);
 
   // ---- flash-crowd admission control (DESIGN.md 14.3) ----
   /// Token-bucket refill rate, registrations per second, for join step 1 at
@@ -94,12 +93,6 @@ struct MykilConfig {
   /// Bounded queue for over-rate step-1 requests; overflow is load-shed
   /// with a retry-after reply instead of being silently dropped.
   std::size_t admission_queue_limit = 16;
-  /// How often the queue-drain timer refills the bucket and services the
-  /// backlog.
-  net::SimDuration admission_drain_interval = net::msec(100);
-  /// Backoff hint carried in a load-shed reply; the client's watchdog
-  /// defers its join retry until it elapses.
-  net::SimDuration shed_retry_after = net::sec(2);
 
   // ---- dynamic area management (DESIGN.md 14.1-14.2) ----
   /// AC -> RS load-report cadence (members, rekey epoch). 0 disables the
@@ -121,10 +114,6 @@ struct MykilConfig {
   /// interval, heartbeats). Protocol-logic tests that drive the network
   /// manually disable them so the event queue can drain.
   bool enable_timers = true;
-
-  // ---- replay protection ----
-  /// Maximum clock skew accepted on timestamped messages.
-  net::SimDuration ts_window = net::sec(30);
 
   [[nodiscard]] net::SimDuration member_silence_limit() const {
     return disconnect_multiplier * t_active;

@@ -76,21 +76,12 @@ void MykilGroup::finalize() {
   finalized_ = true;
 
   // Shard the areas, then open them so every event an AC ever schedules
-  // lands on its shard. Sites model the latency topology: one site per
-  // area (controller, backup, and that area's members), the RS alone on
-  // site 0. With the default inter_site_latency of 0 they are inert; a
-  // positive value makes cross-area hops slower.
-  net_.set_site(rs_->id(), 0);
+  // lands on its shard.
   for (std::size_t i = 0; i < areas_.size(); ++i) {
     Area& a = areas_[i];
     const std::uint32_t shard = area_shard(i);
-    const auto site = static_cast<std::uint32_t>(1 + i);
     net_.set_shard(a.primary->id(), shard);
-    net_.set_site(a.primary->id(), site);
-    if (a.backup) {
-      net_.set_shard(a.backup->id(), shard);
-      net_.set_site(a.backup->id(), site);
-    }
+    if (a.backup) net_.set_shard(a.backup->id(), shard);
     a.primary->open_area(net_);
   }
 
@@ -148,13 +139,11 @@ std::unique_ptr<Member> MykilGroup::make_member(ClientId client,
   net_.attach(*m);
   // Colocate the member with the area the RS's round-robin will hand it
   // (best effort: exact when members join in creation order). A member
-  // that later moves to another area keeps its shard and site — traffic
-  // just crosses shards, which is correct, merely less local. The site
-  // follows the same prediction.
+  // that later moves to another area keeps its shard — traffic just
+  // crosses shards, which is correct, merely less local.
   if (!nonspare_areas_.empty()) {
     std::size_t area = nonspare_areas_[member_seq_++ % nonspare_areas_.size()];
     net_.set_shard(m->id(), area_shard(area));
-    net_.set_site(m->id(), static_cast<std::uint32_t>(1 + area));
   }
   m->start_timers();
   return m;

@@ -27,9 +27,6 @@ struct GroupOptions {
   bool with_backups = false;
   /// Master seed: everything (keys, nonces, workloads) derives from it.
   std::uint64_t seed = 1;
-  /// Arm the periodic protocol timers (alive/eviction/rekey/heartbeat).
-  /// Disable for protocol-logic tests that drive the network manually.
-  bool enable_timers = true;
   /// Worker threads for the simulator's engine. The deployment is sharded
   /// by area either way (the RS on shard 0, area i on shard 1 + i % 255);
   /// 1 drains every window inline, >= 2 runs shards concurrently. The

@@ -30,8 +30,7 @@ std::uint64_t Member::timer_token(std::uint64_t kind) const {
 
 void Member::ensure_arq() {
   if (arq_.bound()) return;
-  arq_.bind(network(), id(), config_.arq, config_.reliable_control,
-            prng_.next_u64());
+  arq_.bind(network(), id(), net::ArqConfig{}, prng_.next_u64());
   arq_.set_give_up_handler([this](net::NodeId to, const std::string&) {
     // Escalate to the existing failure-detection path: zeroing the AC
     // silence clock makes the watchdog treat the AC as unreachable and
@@ -347,19 +346,6 @@ void Member::handle_rekey(const net::Message& msg) {
   if (!directory_.verify(ac_id_, env.box, env.sig)) return;
   lkh::RekeyMessage rk = lkh::RekeyMessage::deserialize(env.box);
 
-  if (!config_.reliable_control) {
-    // Fire-and-forget mode: apply blindly; a stale held key makes apply
-    // throw AuthError, which the on_message catch swallows — the member
-    // silently desynchronizes (the pre-recovery behavior).
-    std::size_t applied = keys_.apply(rk);
-    if (applied > 0) {
-      ++rekeys_applied_;
-      rekey_entries_applied_ += applied;
-    }
-    if (rk.epoch > area_epoch_) area_epoch_ = rk.epoch;
-    return;
-  }
-
   if (rk.epoch <= area_epoch_) return;  // duplicate or already caught up
   if (rk.epoch > area_epoch_ + 1) {
     // One or more rekey multicasts were lost; the skipped ones may have
@@ -451,7 +437,7 @@ void Member::handle_ac_beacon(const net::Message& msg) {
 }
 
 void Member::request_key_recovery(const char* trigger) {
-  if (!config_.reliable_control || !joined_) return;
+  if (!joined_) return;
   net::SimTime now = network().now();
   if (recovery_pending_ &&
       now - last_recovery_request_ < config_.key_recovery_interval)
@@ -568,9 +554,7 @@ void Member::handle_migrate_directive(const net::Message& msg) {
   // Only our own AC may move us, and only recently (replayed directives
   // must not bounce us back after a later move).
   if (!directory_.verify(from_ac, env.box, env.sig)) return;
-  net::SimTime now = network().now();
-  net::SimTime skew = now >= ts ? now - ts : ts - now;
-  if (skew > config_.ts_window) return;
+  if (!ts_fresh(network().now(), ts)) return;
   if (!map_payload.empty()) {
     // The directive carries the RS's latest signed map so we can learn a
     // freshly split target before our own copy catches up.

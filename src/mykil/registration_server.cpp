@@ -34,8 +34,7 @@ void RegistrationServer::revoke(ClientId client) { auth_db_.erase(client); }
 
 void RegistrationServer::ensure_arq() {
   if (arq_.bound()) return;
-  arq_.bind(network(), id(), config_.arq, config_.reliable_control,
-            prng_.next_u64());
+  arq_.bind(network(), id(), net::ArqConfig{}, prng_.next_u64());
   // No give-up escalation: an unreachable client simply never joins, and
   // its own watchdog restarts the handshake.
 }
@@ -52,7 +51,7 @@ void RegistrationServer::start_timers() {
   last_refill_ = network().now();
   std::uint64_t gen = static_cast<std::uint64_t>(timer_gen_) << 32;
   if (config_.admission_rate > 0)
-    network().set_timer(id(), config_.admission_drain_interval,
+    network().set_timer(id(), kAdmissionDrainInterval,
                         kTimerAdmission | gen);
   if (config_.rebalance_interval > 0)
     network().set_timer(id(), config_.rebalance_interval,
@@ -67,7 +66,7 @@ void RegistrationServer::on_timer(std::uint64_t token) {
   switch (token & 0xFFFFFFFFull) {
     case kTimerAdmission:
       drain_admission_queue();
-      network().set_timer(id(), config_.admission_drain_interval,
+      network().set_timer(id(), kAdmissionDrainInterval,
                           kTimerAdmission | gen);
       return;
     case kTimerRebalance:
@@ -168,7 +167,7 @@ void RegistrationServer::admit_step1(const net::Message& msg) {
         .set(static_cast<std::int64_t>(admission_queue_.size()));
   }
   WireWriter w;
-  w.u64(config_.shed_retry_after / 1000);  // retry-after, ms
+  w.u64(kShedRetryAfter / 1000);  // retry-after, ms
   network().unicast(id(), msg.from, kLabelAdmin,
                     envelope(MsgType::kJoinShed, with_mac(w.data())));
 }
@@ -327,7 +326,7 @@ void RegistrationServer::handle_load_report(const net::Message& msg) {
   r.expect_done();
 
   net::SimTime now = network().now();
-  if (ts + config_.ts_window < now || ts > now + config_.ts_window)
+  if (!ts_fresh(now, ts))
     throw AuthError("load report outside timestamp window");
   if (!directory_.verify(ac_id, env.box, env.sig))
     throw AuthError("load report signature rejected");

@@ -14,6 +14,7 @@
 #include "common/bytes.h"
 #include "common/wire.h"
 #include "crypto/rsa.h"
+#include "net/sim_time.h"
 
 namespace mykil::core {
 
@@ -86,5 +87,14 @@ Envelope parse_envelope(ByteView packet);
 /// Verify an envelope's signature over its box. Returns false when the
 /// envelope is unsigned or verification fails.
 bool verify_envelope(const Envelope& env, const crypto::RsaPublicKey& pub);
+
+/// Maximum clock skew accepted on timestamped messages (replay protection).
+inline constexpr net::SimDuration kTsWindow = net::sec(30);
+
+/// The paper's Timestamp check: is `ts` within kTsWindow of `now`, in
+/// either direction?
+[[nodiscard]] constexpr bool ts_fresh(net::SimTime now, net::SimTime ts) {
+  return (now >= ts ? now - ts : ts - now) <= kTsWindow;
+}
 
 }  // namespace mykil::core

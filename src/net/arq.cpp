@@ -38,11 +38,10 @@ bool is_arq_frame(ByteView payload) {
 }
 
 void ArqEndpoint::bind(Network& net, NodeId self, ArqConfig config,
-                       bool enabled, std::uint64_t seed) {
+                       std::uint64_t seed) {
   net_ = &net;
   self_ = self;
   config_ = config;
-  enabled_ = enabled;
   prng_ = crypto::Prng(seed);
   incarnation_ = prng_.next_u64();
 }
@@ -79,10 +78,6 @@ void ArqEndpoint::send_ack(NodeId to, std::uint64_t incarnation,
 }
 
 void ArqEndpoint::send(NodeId to, Label label, Bytes payload) {
-  if (!enabled_) {
-    net_->unicast(self_, to, label, std::move(payload));
-    return;
-  }
   ArqFrame frame;
   frame.incarnation = incarnation_;
   frame.seq = ++next_seq_[to];
@@ -106,7 +101,7 @@ void ArqEndpoint::send(NodeId to, Label label, Bytes payload) {
 
 ArqEndpoint::Rx ArqEndpoint::on_message(const Message& msg,
                                         Message& unwrapped) {
-  if (!enabled_ || !is_arq_frame(msg.payload)) return Rx::kPassThrough;
+  if (!is_arq_frame(msg.payload)) return Rx::kPassThrough;
   ArqFrame frame;
   try {
     frame = ArqFrame::parse(msg.payload);

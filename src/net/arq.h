@@ -28,7 +28,8 @@
 // incoming messages through on_message(), timer tokens through on_timer()
 // (ARQ tokens have the top bit set, so they never collide with protocol
 // timers), and call on_recover() from Node::on_recover so retransmission
-// timers swallowed during a crash window are re-armed.
+// timers swallowed during a crash window are re-armed. Every Mykil entity
+// (RS, AC, member) sends all of its control unicasts through one.
 #pragma once
 
 #include <cstdint>
@@ -107,17 +108,13 @@ class ArqEndpoint {
   using GiveUpFn = std::function<void(NodeId to, const std::string& label)>;
 
   /// Bind to a network/node (call once, any time after Network::attach).
-  /// With `enabled` false the endpoint degrades to plain unicast —
-  /// the knob behind MykilConfig::reliable_control.
-  void bind(Network& net, NodeId self, ArqConfig config, bool enabled,
-            std::uint64_t seed);
+  void bind(Network& net, NodeId self, ArqConfig config, std::uint64_t seed);
   [[nodiscard]] bool bound() const { return net_ != nullptr; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Runs after a frame exhausts its retries (already forgotten by then).
   void set_give_up_handler(GiveUpFn fn) { give_up_ = std::move(fn); }
 
-  /// Send `payload` reliably (or plainly, when disabled) to `to`.
+  /// Send `payload` reliably to `to`.
   void send(NodeId to, Label label, Bytes payload);
 
   /// Classify an incoming message. On kDeliver, `unwrapped` is the same
@@ -171,7 +168,6 @@ class ArqEndpoint {
   Network* net_ = nullptr;
   NodeId self_ = kNoNode;
   ArqConfig config_;
-  bool enabled_ = true;
   crypto::Prng prng_{0};
   std::uint64_t incarnation_ = 0;
 

@@ -134,7 +134,6 @@ NodeId Network::attach(Node& node) {
   up_.push_back(true);
   partition_.push_back(0);
   node_shard_.push_back(0);
-  node_site_.push_back(0);
   origin_.emplace_back();
   node.network_ = this;
   node.id_ = id;
@@ -159,17 +158,6 @@ void Network::set_shard(NodeId node, std::uint32_t shard) {
 std::uint32_t Network::shard_of(NodeId node) const {
   if (node >= nodes_.size()) throw SimError("shard_of: unknown node");
   return node_shard_[node];
-}
-
-void Network::set_site(NodeId node, std::uint32_t site) {
-  if (node >= nodes_.size()) throw SimError("set_site: unknown node");
-  if (in_callback()) throw SimError("set_site from a node callback");
-  node_site_[node] = site;
-}
-
-std::uint32_t Network::site_of(NodeId node) const {
-  if (node >= nodes_.size()) throw SimError("site_of: unknown node");
-  return node_site_[node];
 }
 
 void Network::set_workers(unsigned n) {
@@ -314,8 +302,7 @@ bool Network::deliverable(NodeId from, NodeId to) const {
   return true;
 }
 
-SimDuration Network::delivery_latency(std::size_t bytes, NodeId sender,
-                                      NodeId to) {
+SimDuration Network::delivery_latency(std::size_t bytes, NodeId sender) {
   SimDuration jitter = 0;
   if (config_.jitter != 0) {
     std::uint32_t o = sender == kNoNode ? 0 : sender + 1;
@@ -323,14 +310,7 @@ SimDuration Network::delivery_latency(std::size_t bytes, NodeId sender,
         (static_cast<std::uint64_t>(o) << 8) | kPurposeJitter;
     jitter = prf_.uniform(stream, origin_[o].jitter_ctr, config_.jitter);
   }
-  // The inter-site surcharge keys off the NODES' sites — never their
-  // shards — so the latency model is identical for every placement and
-  // worker count. Driver sends with no origin node stay local.
-  SimDuration site_extra = 0;
-  if (config_.inter_site_latency > 0 && sender < nodes_.size() &&
-      to < nodes_.size() && node_site_[sender] != node_site_[to])
-    site_extra = config_.inter_site_latency;
-  return config_.base_latency + site_extra +
+  return config_.base_latency +
          static_cast<SimDuration>(config_.per_byte_latency_us *
                                   static_cast<double>(bytes)) +
          jitter;
@@ -453,7 +433,7 @@ void Network::queue_delivery(Message msg, NodeId to) {
     }
   }
   Event ev;
-  ev.at = local_now() + delivery_latency(msg.wire_size(), msg.from, to);
+  ev.at = local_now() + delivery_latency(msg.wire_size(), msg.from);
   ev.kind = Event::Kind::kDeliver;
   ev.deliver_to = to;
   ev.msg = std::move(msg);

@@ -122,13 +122,6 @@ struct NetworkConfig {
   /// toss can still be lost to a crash/partition/blocked link (see the
   /// delivery guarantees above). 0 for the protocol benchmarks.
   double drop_probability = 0.0;
-  /// Extra one-way latency added when sender and receiver are in different
-  /// SITES (Network::set_site) — the paper's LAN/WAN split: IP multicast
-  /// inside an area is fast, AC-to-AC TCP crosses the wide area. A site is
-  /// a property of the node, never of its shard, so the delivery schedule
-  /// is identical for every shard placement and worker count. 0 (the
-  /// default) preserves the flat latency model.
-  SimDuration inter_site_latency = 0;
 };
 
 /// Per-shard row of the engine profiler (DESIGN.md 13.2). All wall-clock
@@ -221,16 +214,6 @@ class Network {
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-
-  /// Assign `node` to a latency site (default 0). Deliveries between
-  /// different sites cost config.inter_site_latency extra. A site is part
-  /// of the TOPOLOGY — it shifts delivery times identically in every
-  /// execution mode — whereas a shard is an execution detail; keep the two
-  /// distinct. The Mykil layer sets site = area, mirroring the paper's
-  /// LAN-per-area / WAN-between-ACs deployment. Same call-site rules as
-  /// set_shard: outside the event loop, before events target the node.
-  void set_site(NodeId node, std::uint32_t site);
-  [[nodiscard]] std::uint32_t site_of(NodeId node) const;
 
   /// Size the worker pool. 1 (the default) drains every window inline on
   /// the calling thread; n >= 2 spawns n - 1 helper threads, and the
@@ -472,7 +455,7 @@ class Network {
 
   void queue_delivery(Message msg, NodeId to);
   [[nodiscard]] bool deliverable(NodeId from, NodeId to) const;
-  SimDuration delivery_latency(std::size_t bytes, NodeId sender, NodeId to);
+  SimDuration delivery_latency(std::size_t bytes, NodeId sender);
 
   /// Pop + execute the event behind `ref` (already removed from the heap).
   void process_event(Shard& sh, EventRef ref);
@@ -515,7 +498,6 @@ class Network {
   std::vector<bool> up_;
   std::vector<std::uint32_t> partition_;
   std::vector<std::uint32_t> node_shard_;
-  std::vector<std::uint32_t> node_site_;  ///< latency site (default 0)
   std::vector<OriginState> origin_;  ///< index node + 1; [0] = kNoNode
   std::unordered_set<std::uint64_t> blocked_links_;
   std::vector<std::vector<NodeId>> groups_;  ///< each sorted, duplicate-free

@@ -136,8 +136,6 @@ class Tracer {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events lost to ring overflow (surfaced in the export header).
   [[nodiscard]] std::uint64_t dropped() const;
-  /// Back-compat alias for dropped().
-  [[nodiscard]] std::uint64_t overwritten() const { return dropped(); }
   [[nodiscard]] std::size_t open_spans() const {
     std::lock_guard<std::mutex> lock(span_mu_);
     return open_.size();

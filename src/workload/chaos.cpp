@@ -56,7 +56,6 @@ Deployment build_deployment(const ChaosOptions& opt, bool join) {
   net::NetworkConfig ncfg;
   ncfg.seed = opt.seed;
   ncfg.drop_probability = 0.0;  // clean setup; losses start with the chaos
-  ncfg.inter_site_latency = opt.inter_site_latency;
   dep.net = std::make_unique<net::Network>(ncfg);
   dep.metrics = std::make_unique<obs::MetricsRegistry>();
   dep.net->set_metrics(dep.metrics.get());
@@ -68,7 +67,6 @@ Deployment build_deployment(const ChaosOptions& opt, bool join) {
   core::GroupOptions gopt;
   gopt.seed = opt.seed;
   gopt.with_backups = opt.with_backups;
-  gopt.config.reliable_control = opt.reliable_control;
   gopt.workers = opt.workers;
   if (opt.dynamic_areas) {
     gopt.config.admission_rate = 3.0;

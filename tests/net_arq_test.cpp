@@ -1,6 +1,6 @@
 // ARQ endpoint: reliable unicast over the lossy simulator. Frame encoding,
-// at-most-once delivery under heavy loss, dedup, give-up escalation, crash
-// recovery, and the disabled (pass-through) mode.
+// at-most-once delivery under heavy loss (against raw unicast as the
+// negative control), dedup, give-up escalation and crash recovery.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -24,10 +24,9 @@ NetworkConfig quiet_config() {
 /// endpoint; fresh deliveries are recorded by payload.
 class ArqNode : public Node {
  public:
-  void setup(Network& net, ArqConfig cfg = {}, bool enabled = true,
-             std::uint64_t seed = 42) {
+  void setup(Network& net, ArqConfig cfg = {}, std::uint64_t seed = 42) {
     net.attach(*this);
-    arq.bind(net, id(), cfg, enabled, seed);
+    arq.bind(net, id(), cfg, seed);
   }
 
   void on_message(const Message& msg) override {
@@ -178,34 +177,29 @@ TEST(Arq, SenderCrashRecoveryRearmsRetransmission) {
   EXPECT_EQ(b.delivered[0], "resumed");
 }
 
-TEST(Arq, DisabledModeIsPlainUnicast) {
-  Network net(quiet_config());
-  ArqNode a, b;
-  a.setup(net, {}, /*enabled=*/false);
-  b.setup(net, {}, /*enabled=*/false);
-  a.arq.send(b.id(), "ctl", to_bytes("fire-and-forget"));
-  net.run();
-  // No ARQ header on the wire: the receiver sees a pass-through message.
-  ASSERT_EQ(b.raw.size(), 1u);
-  EXPECT_EQ(b.raw[0], "fire-and-forget");
-  EXPECT_TRUE(b.delivered.empty());
-  EXPECT_EQ(a.arq.in_flight(), 0u);
-}
-
-TEST(Arq, DisabledModeLosesUnderDrops) {
-  // The contrast case for DeliversExactlyOnceUnderHeavyLoss: without ARQ
-  // the same loss rate visibly eats messages.
+TEST(Arq, RawUnicastLosesWhatArqDelivers) {
+  // Negative control for DeliversExactlyOnceUnderHeavyLoss: on one lossy
+  // network, the same number of plain Network::unicast messages visibly
+  // lose frames while every ARQ message arrives exactly once.
   NetworkConfig cfg = quiet_config();
   cfg.drop_probability = 0.5;
   cfg.seed = 17;
   Network net(cfg);
   ArqNode a, b;
-  a.setup(net, {}, /*enabled=*/false);
-  b.setup(net, {}, /*enabled=*/false);
-  for (int i = 0; i < 40; ++i)
-    a.arq.send(b.id(), "ctl", to_bytes("msg-" + std::to_string(i)));
-  net.run_until(sec(60));
-  EXPECT_LT(b.raw.size(), 40u);
+  ArqConfig acfg;
+  acfg.max_retries = 20;  // see DeliversExactlyOnceUnderHeavyLoss
+  a.setup(net, acfg);
+  b.setup(net);
+  constexpr int kMessages = 40;
+  for (int i = 0; i < kMessages; ++i) {
+    net.unicast(a.id(), b.id(), "ctl", to_bytes("raw-" + std::to_string(i)));
+    a.arq.send(b.id(), "ctl", to_bytes("arq-" + std::to_string(i)));
+  }
+  net.run_until(sec(300));
+  EXPECT_LT(b.raw.size(), static_cast<std::size_t>(kMessages));
+  std::set<std::string> unique(b.delivered.begin(), b.delivered.end());
+  EXPECT_EQ(b.delivered.size(), static_cast<std::size_t>(kMessages));
+  EXPECT_EQ(unique.size(), static_cast<std::size_t>(kMessages));
 }
 
 TEST(Arq, ResetAdoptsFreshIncarnation) {

@@ -2,15 +2,11 @@
 // detail, so a chaos schedule must produce ONE digest no matter how many
 // workers drain the area shards.
 //
-// Three sweeps over the same seeded schedule, each at workers 1/2/4/8:
+// Two sweeps, each at workers 1/2/4/8:
 //   1. dynamic_areas, so spares, splits, and merges move members between
 //      area shards mid-run.
-//   2. the same schedule with inter-site latency > 0: a different
-//      schedule than sweep 1 (cross-area hops are slower) but again ONE
-//      digest across worker counts.
-//   3. a crash-heavy seed with inter-site latency: primary crashes land
-//      mid-window, where a worker-dependent merge order would show up
-//      first.
+//   2. a crash-heavy seed: primary crashes land mid-window, where a
+//      worker-dependent merge order would show up first.
 #include <cstdio>
 
 #include "workload/chaos.h"
@@ -49,24 +45,18 @@ bool sweep(const char* name, const workload::ChaosOptions& base) {
 int main() {
   using namespace mykil;
 
-  // Sweep 1: flat LAN, dynamic areas (spares + split/merge traffic).
+  // Sweep 1: dynamic areas (spares + split/merge traffic).
   workload::ChaosOptions opt;
   opt.seed = 5;
   opt.dynamic_areas = true;
   if (!sweep("dynamic", opt)) return 1;
 
-  // Sweep 2: WAN split between areas. The digest moves vs sweep 1 (a
-  // different schedule) but must stay worker-invariant.
-  opt.inter_site_latency = net::usec(500);
-  if (!sweep("dynamic+wan", opt)) return 1;
-
-  // Sweep 3: crash-heavy seed with the WAN split — faults land mid-window
-  // where merge-order bugs would first desynchronize shards.
+  // Sweep 2: crash-heavy seed — faults land mid-window where merge-order
+  // bugs would first desynchronize shards.
   workload::ChaosOptions crash;
   crash.seed = 2;
   crash.crash_primaries = true;
-  crash.inter_site_latency = net::usec(500);
-  if (!sweep("faults+wan", crash)) return 1;
+  if (!sweep("faults", crash)) return 1;
 
   std::printf("parallel_placement: PASS — one digest per schedule across "
               "workers 1/2/4/8\n");

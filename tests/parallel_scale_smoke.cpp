@@ -1,20 +1,34 @@
 // Scaling gate for the parallel engine: a small embarrassingly-parallel
 // sweep must actually get faster with workers, not just stay correct.
 //
-// Eight independent event chains on eight shards, each event burning a few
-// microseconds of real compute (the engine's barrier cost only matters
-// relative to real per-event work). workers=4 must beat workers=1 by at
-// least 1.5x — a deliberately soft floor for an 8-way-parallel workload,
-// so CI noise doesn't flake it while a serialization regression (a barrier
-// that blocks, a merge that became quadratic) still trips it.
+// Eight independent event chains on eight shards, each event burning tens
+// of microseconds of real compute (the engine's barrier cost only matters
+// relative to real per-event work); one side takes about 200 ms at
+// workers=1. After a warm-up (below), the sweep runs kPairs interleaved
+// workers=1 / workers=4 pairs, and the MEDIAN of the per-pair ratios must
+// be at least 1.5x — a deliberately soft floor for an 8-way-parallel
+// workload. Long sides and the median keep a burst of load from other
+// processes on a shared host from flaking the gate, while a serialization
+// regression (a barrier that blocks, a merge that became quadratic) still
+// trips it.
+//
+// Warm-up: on a virtualized host the VM may get only about one core's worth
+// of CPU for the first second or so of multi-threaded load after an idle
+// spell (a plain 4-thread compute loop with no synchronization shows it
+// too), so kWarmupS of discarded workers=4 sweeps run first and the gate
+// measures the engine, not the host's CPU allocation.
 //
 // Exit 77 (ctest SKIP_RETURN_CODE) on hosts with fewer than 4 cores: the
 // ratio is meaningless when the threads timeshare one core. Under
 // ThreadSanitizer the sweep still runs — that is the point, it is the race
-// check — but the timing assertion is waived (TSan serializes everything).
+// check — but the timing assertion is waived (TSan serializes everything)
+// and a single pair runs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <thread>
+#include <vector>
 
 #include "net/network.h"
 
@@ -33,8 +47,15 @@ using namespace mykil;
 const net::Label kChainLabel{"scale-chain"};
 
 constexpr std::size_t kChains = 8;
-constexpr std::size_t kHops = 1500;
-constexpr std::size_t kWorkIters = 1200;  ///< ~a few us of compute per event
+constexpr std::size_t kHops = 3000;
+constexpr std::size_t kWorkIters = 7000;  ///< tens of us of compute per event
+#if defined(MYKIL_TSAN)
+constexpr int kPairs = 1;
+constexpr double kWarmupS = 0;
+#else
+constexpr int kPairs = 5;
+constexpr double kWarmupS = 1.0;
+#endif
 
 /// One self-messaging chain: each delivery burns deterministic compute and
 /// forwards, so shards have real work and zero cross-shard traffic.
@@ -86,23 +107,6 @@ SweepResult run_one(unsigned workers) {
   return res;
 }
 
-/// Best of three: the gate compares engine configurations, not scheduler
-/// jitter on a shared CI box.
-SweepResult best_of(unsigned workers) {
-  SweepResult best = run_one(workers);
-  for (int i = 0; i < 2; ++i) {
-    SweepResult r = run_one(workers);
-    if (r.digest != best.digest || r.events != best.events) {
-      std::printf("parallel_scale_smoke: FAIL — nondeterministic run at "
-                  "workers=%u\n", workers);
-      best.digest = 0;  // poison: caller treats as failure
-      return best;
-    }
-    if (r.wall_s < best.wall_s) best = r;
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -113,29 +117,40 @@ int main() {
     return 77;
   }
 
-  SweepResult r1 = best_of(1);
-  if (r1.digest == 0) return 1;
-  SweepResult r4 = best_of(4);
-  if (r4.digest == 0) return 1;
+  for (double warm = 0; warm < kWarmupS;) warm += run_one(4).wall_s;
 
-  double ratio = r4.wall_s > 0 ? r1.wall_s / r4.wall_s : 0;
-  std::printf("parallel_scale_smoke: %zu events; workers=1 %.3fs, "
-              "workers=4 %.3fs (%.2fx), digest %s\n",
-              r1.events, r1.wall_s, r4.wall_s, ratio,
-              r4.digest == r1.digest ? "identical" : "MISMATCH");
-  if (r4.digest != r1.digest || r4.events != r1.events) {
-    std::printf("parallel_scale_smoke: FAIL — results differ across worker "
-                "counts\n");
-    return 1;
+  // Interleave the two configurations so a burst of host load lands on
+  // both sides of some pair rather than on one whole side.
+  std::vector<double> ratios;
+  SweepResult first;
+  for (int p = 0; p < kPairs; ++p) {
+    SweepResult r1 = run_one(1);
+    SweepResult r4 = run_one(4);
+    if (p == 0) first = r1;
+    double ratio = r4.wall_s > 0 ? r1.wall_s / r4.wall_s : 0;
+    std::printf("parallel_scale_smoke: pair %d: %zu events; workers=1 "
+                "%.3fs, workers=4 %.3fs (%.2fx)\n",
+                p + 1, r1.events, r1.wall_s, r4.wall_s, ratio);
+    for (const SweepResult* r : {&r1, &r4})
+      if (r->digest != first.digest || r->events != first.events) {
+        std::printf("parallel_scale_smoke: FAIL — results differ across "
+                    "runs or worker counts\n");
+        return 1;
+      }
+    ratios.push_back(ratio);
   }
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  std::printf("parallel_scale_smoke: median workers=4 speedup %.2fx over "
+              "%d pair(s), digest identical\n", median, kPairs);
 #if defined(MYKIL_TSAN)
   std::printf("parallel_scale_smoke: PASS (TSan build — race coverage only, "
               "timing waived)\n");
   return 0;
 #else
-  if (ratio < 1.5) {
+  if (median < 1.5) {
     std::printf("parallel_scale_smoke: FAIL — workers=4 only %.2fx faster "
-                "than workers=1 (need >= 1.5x)\n", ratio);
+                "than workers=1 in the median (need >= 1.5x)\n", median);
     return 1;
   }
   std::printf("parallel_scale_smoke: PASS\n");
