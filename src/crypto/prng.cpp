@@ -80,17 +80,6 @@ Prng Prng::fork() {
   return Prng(ByteView(child_seed));
 }
 
-void Prng::mix(std::uint64_t tweak) {
-  WireWriter w;
-  w.str("mykil-prng-mix");
-  w.raw(key_);
-  w.u64(tweak);
-  key_ = Sha256::digest(w.data());
-  counter_ = 0;
-  block_.clear();
-  block_pos_ = 0;
-}
-
 namespace {
 
 Bytes stream_prf_key(std::uint64_t seed) {

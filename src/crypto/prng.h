@@ -43,12 +43,6 @@ class Prng {
   /// Derive an independent child generator (e.g. one per simulated node).
   Prng fork();
 
-  /// Irreversibly perturb the stream with a tweak. A restored checkpoint
-  /// mixes a restore-generation tweak into every revived Prng so the resumed
-  /// run does not replay the exact random choices the captured run was about
-  /// to make (state is semantic, not bit-level; see mykil/checkpoint.h).
-  void mix(std::uint64_t tweak);
-
  private:
   void refill();
 

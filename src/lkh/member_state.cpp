@@ -1,9 +1,8 @@
 #include "lkh/member_state.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.h"
-#include "common/wire.h"
 #include "crypto/sealed.h"
 
 namespace mykil::lkh {
@@ -47,38 +46,6 @@ const crypto::SymmetricKey& MemberKeyState::group_key() const {
   auto it = keys_.find(0);
   if (it == keys_.end()) throw ProtocolError("member holds no group key");
   return it->second.key;
-}
-
-Bytes MemberKeyState::serialize() const {
-  std::vector<NodeIndex> order;
-  order.reserve(keys_.size());
-  for (const auto& [node, held] : keys_) order.push_back(node);
-  std::sort(order.begin(), order.end());
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(order.size()));
-  for (NodeIndex node : order) {
-    const Held& h = keys_.at(node);
-    w.u32(node);
-    w.u64(h.version);
-    w.bytes(h.key.raw());
-  }
-  w.u8(prev_root_.has_value() ? 1 : 0);
-  if (prev_root_.has_value()) w.bytes(prev_root_->raw());
-  return w.take();
-}
-
-MemberKeyState MemberKeyState::deserialize(ByteView data) {
-  WireReader r(data);
-  MemberKeyState st;
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeIndex node = r.u32();
-    std::uint64_t version = r.u64();
-    st.keys_[node] = {crypto::SymmetricKey(r.bytes()), version};
-  }
-  if (r.u8() != 0) st.prev_root_ = crypto::SymmetricKey(r.bytes());
-  r.expect_done();
-  return st;
 }
 
 std::uint64_t MemberKeyState::version_of(NodeIndex node) const {

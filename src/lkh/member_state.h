@@ -54,11 +54,6 @@ class MemberKeyState {
     prev_root_.reset();
   }
 
-  /// Checkpoint the held-key set (sorted by node index so the encoding is
-  /// deterministic regardless of hash-map iteration order).
-  [[nodiscard]] Bytes serialize() const;
-  static MemberKeyState deserialize(ByteView data);
-
  private:
   struct Held {
     crypto::SymmetricKey key;

@@ -1,6 +1,7 @@
 #include "mykil/area_controller.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "crypto/data_plane.h"
@@ -1036,8 +1037,10 @@ void AreaController::request_uplink_recovery(const char* trigger) {
   if (auto* t = network().tracer())
     t->instant(obs::EventKind::kKeyRecovery, id(), now, ac_id_, uplink_->epoch,
                trigger);
-  if (auto* m = network().metrics())
+  if (auto* m = network().metrics()) {
     m->counter("ac.uplink_recovery_requests").inc();
+    m->counter(std::string("ac.uplink_recovery_requests.") + trigger).inc();
+  }
 
   WireWriter w;
   w.u64(ac_id_);  // in the parent's tree we are the member `ac_id_`
@@ -1502,139 +1505,6 @@ void AreaController::demote_to_backup(net::NodeId new_primary) {
   if (config_.enable_timers)
     network().set_timer(id(), config_.heartbeat_interval,
                         timer_token(kTimerBackupWatch));
-}
-
-// ------------------------------------------------- checkpoint (DESIGN 14.4)
-
-Bytes AreaController::checkpoint_state() const {
-  WireWriter w;
-  w.u8(role_ == Role::kPrimary ? 0 : 1);
-  w.u8(open_ ? 1 : 0);
-  w.u64(takeover_epoch_);
-  w.u64(rekey_epoch_);
-  w.u64(sync_version_);
-  w.u64(peer_sync_version_);
-  w.u8(got_snapshot_ ? 1 : 0);
-  w.bytes(latest_snapshot_);
-  w.u32(backup_node_);
-  w.u32(peer_node_);
-  w.bytes(directory_.serialize());
-  w.bytes(latest_map_payload_);
-  w.u64(parent_hint_);
-  w.u32(rs_node_);
-  bool have_state = role_ == Role::kPrimary && tree_.has_value() && open_;
-  w.u8(have_state ? 1 : 0);
-  if (have_state) w.bytes(make_snapshot());
-  w.u32(static_cast<std::uint32_t>(departed_tickets_.size()));
-  for (const auto& [cid, ticket] : departed_tickets_) {
-    w.u64(cid);
-    w.bytes(ticket);
-  }
-  return w.take();
-}
-
-void AreaController::restore_state(ByteView blob) {
-  WireReader r(blob);
-  Role role = r.u8() == 0 ? Role::kPrimary : Role::kBackup;
-  bool open = r.u8() != 0;
-  std::uint64_t takeover_epoch = r.u64();
-  std::uint64_t rekey_epoch = r.u64();
-  std::uint64_t sync_version = r.u64();
-  std::uint64_t peer_sync_version = r.u64();
-  bool got_snapshot = r.u8() != 0;
-  Bytes latest_snapshot = r.bytes();
-  net::NodeId backup_node = r.u32();
-  net::NodeId peer_node = r.u32();
-  AcDirectory dir = AcDirectory::deserialize(r.bytes());
-  Bytes map_payload = r.bytes();
-  AcId parent_hint = r.u64();
-  net::NodeId rs_node = r.u32();
-  bool have_state = r.u8() != 0;
-  Bytes snapshot;
-  if (have_state) snapshot = r.bytes();
-  std::map<ClientId, Bytes> departed;
-  std::uint32_t n_dep = r.u32();
-  for (std::uint32_t i = 0; i < n_dep; ++i) {
-    ClientId cid = r.u64();
-    departed[cid] = r.bytes();
-  }
-  r.expect_done();
-
-  // The checkpoint is authoritative: wipe construction/session residue.
-  // State is restored semantically, not bit-for-bit — the ARQ endpoint and
-  // handshake maps start empty (peers re-drive), and the PRNG diverges.
-  ++timer_gen_;
-  prng_.mix(0x52455354u /* "REST" */);
-  net::SimTime now = network().now();
-  role_ = role;
-  takeover_epoch_ = takeover_epoch;
-  sync_version_ = sync_version;
-  peer_sync_version_ = peer_sync_version;
-  got_snapshot_ = got_snapshot;
-  latest_snapshot_ = std::move(latest_snapshot);
-  backup_node_ = backup_node;
-  peer_node_ = peer_node;
-  directory_ = std::move(dir);
-  latest_map_payload_ = std::move(map_payload);
-  parent_hint_ = parent_hint;
-  rs_node_ = rs_node;
-  departed_tickets_ = std::move(departed);
-  migrate_target_ = kNoAc;
-  migrate_quota_ = 0;
-  pending_joins_.clear();
-  early_step6_.clear();
-  pending_rejoins_.clear();
-  awaiting_cohort_.clear();
-  rejoin_timeout_tokens_.clear();
-  pending_leaves_.clear();
-  pending_join_rotation_ = false;
-  seen_data_.clear();
-  prev_area_key_.reset();
-  last_redirect_.clear();
-  takeover_trace_ = {};
-  rekey_epoch_ = rekey_epoch;
-
-  if (role_ == Role::kPrimary) {
-    open_ = open;
-    if (have_state) {
-      load_snapshot(snapshot);     // tree, roster, area group, uplink stub
-      rekey_epoch_ = rekey_epoch;  // load_snapshot re-read the same value
-      // If a takeover made the construction-time backup instance the
-      // captured primary, it never ran open_area — subscribe now (raw
-      // join_group is duplicate-safe for everyone else).
-      network().join_group(area_group_, id());
-      // Re-link the parent fresh: uplink keys are deliberately outside the
-      // snapshot ("only a minimal state information is replicated").
-      AcId parent = uplink_ ? uplink_->parent_ac : kNoAc;
-      uplink_.reset();
-      if (parent != kNoAc && directory_.find(parent) != nullptr)
-        connect_to_parent(parent);
-    }
-    last_area_tx_ = now;
-    last_member_scan_ = now;
-    last_fresh_rekey_ = now;
-    if (open_) start_primary_timers();
-    if (backup_node_ != net::kNoNode) {
-      if (config_.enable_timers)
-        network().set_timer(id(), config_.heartbeat_interval,
-                            timer_token(kTimerHeartbeat));
-      sync_backup();
-    }
-  } else {
-    open_ = false;
-    members_.clear();
-    uplink_.reset();
-    backup_node_ = net::kNoNode;
-    if (got_snapshot_ && !latest_snapshot_.empty()) {
-      // Re-subscribe to the area group we were silently shadowing.
-      WireReader sr(latest_snapshot_);
-      network().join_group(sr.u32(), id());
-    }
-    last_heartbeat_rx_ = now;  // grace before the takeover watchdog
-    if (config_.enable_timers)
-      network().set_timer(id(), config_.heartbeat_interval,
-                          timer_token(kTimerBackupWatch));
-  }
 }
 
 // ------------------------------------------------------------------ routing

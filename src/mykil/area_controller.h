@@ -124,12 +124,6 @@ class AreaController : public net::Node {
   }
   [[nodiscard]] const net::ArqEndpoint& arq() const { return arq_; }
 
-  /// Checkpoint the full controller state (role, epochs, directory, tree +
-  /// roster via the replication snapshot, departed tickets). See
-  /// mykil/checkpoint.h for the restore contract.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
-
   struct Counters {
     std::uint64_t joins = 0;
     std::uint64_t rejoins = 0;

@@ -1,6 +1,7 @@
 #include "mykil/member.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "crypto/sealed.h"
@@ -449,8 +450,10 @@ void Member::request_key_recovery(const char* trigger) {
   if (auto* t = network().tracer())
     t->instant(obs::EventKind::kKeyRecovery, id(), now, nic_id_, area_epoch_,
                trigger);
-  if (auto* m = network().metrics())
+  if (auto* m = network().metrics()) {
     m->counter("member.key_recovery_requests").inc();
+    m->counter(std::string("member.key_recovery_requests.") + trigger).inc();
+  }
 
   // {NIC id; AC id; caught-up epoch; Nonce} — plain envelope: it carries no
   // secrets, and the AC authenticates the requester by membership record +
@@ -653,84 +656,6 @@ void Member::on_timer(std::uint64_t token) {
     }
     default:
       return;
-  }
-}
-
-// ------------------------------------------------ checkpoint (DESIGN 14.4)
-
-Bytes Member::checkpoint_state() const {
-  WireWriter w;
-  std::uint8_t phase = 0;  // idle
-  if (joined_)
-    phase = 1;
-  else if (join_in_progress_)
-    phase = 2;
-  else if (rejoin_in_progress_)
-    phase = 3;
-  w.u8(phase);
-  w.u32(rs_node_);
-  w.u64(requested_duration_);
-  w.u64(ac_id_);
-  w.u32(ac_node_);
-  w.u32(area_group_);
-  w.u64(area_epoch_);
-  w.u64(rejoin_target_);
-  w.bytes(sealed_ticket_);
-  w.bytes(directory_.serialize());
-  w.bytes(keys_.serialize());
-  w.u64(watchdog_rejoins_);
-  w.u64(key_recoveries_);
-  w.u64(migrations_);
-  return w.take();
-}
-
-void Member::restore_state(ByteView blob) {
-  WireReader r(blob);
-  std::uint8_t phase = r.u8();
-  rs_node_ = r.u32();
-  requested_duration_ = r.u64();
-  ac_id_ = r.u64();
-  ac_node_ = r.u32();
-  area_group_ = r.u32();
-  area_epoch_ = r.u64();
-  rejoin_target_ = r.u64();
-  sealed_ticket_ = r.bytes();
-  directory_ = AcDirectory::deserialize(r.bytes());
-  keys_ = lkh::MemberKeyState::deserialize(r.bytes());
-  watchdog_rejoins_ = r.u64();
-  key_recoveries_ = r.u64();
-  migrations_ = r.u64();
-  r.expect_done();
-
-  // In-flight handshakes are NOT resumed: their nonces died with the peer's
-  // volatile state. A member captured mid-join/mid-rejoin restarts the
-  // exchange from scratch — same convergence, fresh randomness.
-  ++timer_gen_;
-  prng_.mix(0x52455354u);
-  joined_ = (phase == 1);
-  join_in_progress_ = false;
-  rejoin_in_progress_ = false;
-  recovery_pending_ = false;
-  join_backoff_until_ = 0;
-  seen_data_.clear();
-  received_data_.clear();
-  data_plane_cache_.clear();
-  last_heard_ac_ = network().now();  // grace period before the watchdog
-  last_sent_ac_ = network().now();
-  if (joined_ && directory_.find(ac_id_) == nullptr) {
-    // Captured after a merge retired our area but before we acted on it.
-    joined_ = false;
-    phase = 3;
-    if (!directory_.entries().empty())
-      rejoin_target_ = directory_.entries().front().ac_id;
-  }
-  if (joined_) network().join_group(area_group_, id());
-  start_timers();
-  if (phase == 2) {
-    join(rs_node_, requested_duration_);
-  } else if (phase == 3 && !sealed_ticket_.empty() &&
-             directory_.find(rejoin_target_) != nullptr) {
-    rejoin(rejoin_target_);
   }
 }
 

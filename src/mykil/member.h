@@ -89,12 +89,6 @@ class Member : public net::Node {
   [[nodiscard]] std::uint64_t sheds_received() const { return sheds_received_; }
   [[nodiscard]] const net::ArqEndpoint& arq() const { return arq_; }
 
-  /// Checkpoint the member's dynamic protocol state (membership, ticket,
-  /// directory, held keys). Key material itself re-derives from seeded
-  /// construction on restore; see mykil/checkpoint.h.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
-
   /// Simulate a malicious cohort: copy this member's credentials (ticket +
   /// keypair) into another Member instance. Test-support API.
   void clone_credentials_into(Member& other) const {

@@ -499,94 +499,4 @@ void RegistrationServer::send_migrate_request(const AcInfo& src, AcId target,
                             keypair_.priv));
 }
 
-// ------------------------------------------------ checkpoint (DESIGN 14.4)
-
-Bytes RegistrationServer::checkpoint_state() const {
-  WireWriter w;
-  w.bytes(directory_.serialize());
-  w.u32(static_cast<std::uint32_t>(auth_db_.size()));
-  for (const auto& [client, duration] : auth_db_) {
-    w.u64(client);
-    w.u64(duration);
-  }
-  w.u32(static_cast<std::uint32_t>(assigned_.size()));
-  for (const auto& [ac_id, n] : assigned_) {
-    w.u64(ac_id);
-    w.u64(n);
-  }
-  w.u64(next_area_);
-  w.u64(completed_);
-  w.u64(rejected_);
-  w.u64(sheds_);
-  w.u64(splits_);
-  w.u64(merges_);
-  w.u64(timeouts_);
-  w.u32(static_cast<std::uint32_t>(spares_.size()));
-  for (const AcInfo& s : spares_) {
-    w.u64(s.ac_id);
-    w.u32(s.node);
-    w.u32(s.group);
-    w.bytes(s.pubkey);
-    w.u32(s.backup_node);
-    w.bytes(s.backup_pubkey);
-  }
-  w.u32(static_cast<std::uint32_t>(dynamic_.size()));
-  for (AcId a : dynamic_) w.u64(a);
-  return w.take();
-}
-
-void RegistrationServer::restore_state(ByteView blob) {
-  WireReader r(blob);
-  directory_ = AcDirectory::deserialize(r.bytes());
-  auth_db_.clear();
-  std::uint32_t n_auth = r.u32();
-  for (std::uint32_t i = 0; i < n_auth; ++i) {
-    ClientId client = r.u64();
-    auth_db_[client] = r.u64();
-  }
-  assigned_.clear();
-  std::uint32_t n_assigned = r.u32();
-  for (std::uint32_t i = 0; i < n_assigned; ++i) {
-    AcId ac_id = r.u64();
-    assigned_[ac_id] = r.u64();
-  }
-  next_area_ = r.u64();
-  completed_ = r.u64();
-  rejected_ = r.u64();
-  sheds_ = r.u64();
-  splits_ = r.u64();
-  merges_ = r.u64();
-  timeouts_ = r.u64();
-  spares_.clear();
-  std::uint32_t n_spares = r.u32();
-  for (std::uint32_t i = 0; i < n_spares; ++i) {
-    AcInfo s;
-    s.ac_id = r.u64();
-    s.node = r.u32();
-    s.group = r.u32();
-    s.pubkey = r.bytes();
-    s.backup_node = r.u32();
-    s.backup_pubkey = r.bytes();
-    spares_.push_back(std::move(s));
-  }
-  dynamic_.clear();
-  std::uint32_t n_dyn = r.u32();
-  for (std::uint32_t i = 0; i < n_dyn; ++i) dynamic_.insert(r.u64());
-  r.expect_done();
-  // In-flight nonce handshakes, parked step-1 requests, and the one
-  // in-flight reconfiguration are dropped: client watchdogs restart joins,
-  // and the rebalancer re-detects imbalance from fresh load reports.
-  pending_.clear();
-  admission_queue_.clear();
-  reconfig_.reset();
-  draining_.clear();
-  loads_.clear();
-  tokens_ = static_cast<double>(config_.admission_burst);
-  last_refill_ = network().now();
-  prng_.mix(0x52455354u /* "REST" */);
-  if (auto* m = network().metrics())
-    m->gauge("rs.map_version")
-        .set(static_cast<std::int64_t>(directory_.version()));
-}
-
 }  // namespace mykil::core

@@ -82,12 +82,6 @@ class RegistrationServer : public net::Node {
   [[nodiscard]] std::uint64_t reconfig_timeouts() const { return timeouts_; }
   [[nodiscard]] std::size_t spare_count() const { return spares_.size(); }
 
-  /// Checkpoint the RS's durable state (directory + auth + load estimates;
-  /// in-flight nonce handshakes and the admission queue are dropped — the
-  /// clients' watchdogs restart those). See mykil/checkpoint.h.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
-
  private:
   struct Session {
     net::NodeId client_node = net::kNoNode;

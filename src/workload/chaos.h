@@ -18,10 +18,7 @@
 //
 // With `dynamic_areas` the schedule additionally provisions spare ACs,
 // throws flash crowds and mass departures at the deployment, and lets the
-// RS split hot areas / merge cold ones mid-chaos. With
-// `checkpoint_restore` the run is stopped at half time, serialized,
-// rebuilt from the seed, restored, and resumed — the invariants must hold
-// on the resumed run exactly as they do on an uninterrupted one.
+// RS split hot areas / merge cold ones mid-chaos.
 //
 // Every control unicast goes through the ARQ layer and members recover
 // missed rekeys by key recovery (DESIGN.md 9); without that machinery the
@@ -65,11 +62,6 @@ struct ChaosOptions {
   /// Latecomer members (created but not joined) that flash-crowd events
   /// register in bursts (dynamic_areas only).
   std::size_t flash_pool = 6;
-  /// Stop the run at duration/2, checkpoint it, rebuild the deployment
-  /// from the seed, restore, and resume (DESIGN.md 14.4).
-  bool checkpoint_restore = false;
-  /// Non-empty: also write the captured checkpoint blob to this file.
-  std::string checkpoint_path;
   /// Simulator worker threads (net::Network::set_workers). The report —
   /// including its digest — is identical for every value; the determinism
   /// tests assert exactly that.
@@ -115,14 +107,12 @@ struct ChaosReport {
   /// watchdog resolves this by rejoining on its next silence horizon.
   std::size_t orphan_members = 0;
 
-  // Online area management (dynamic_areas / checkpoint_restore runs).
+  // Online area management (dynamic_areas runs).
   std::uint64_t map_version = 0;   ///< final directory version at the RS
   std::uint64_t area_splits = 0;
   std::uint64_t area_merges = 0;
   std::uint64_t migrations = 0;    ///< member moves obeying a directive
   std::uint64_t sheds = 0;         ///< step-1 requests turned away
-  bool restored = false;           ///< run was checkpointed and resumed
-  std::size_t checkpoint_bytes = 0;
 
   // Repair work the protocol performed (diagnostics, not invariants).
   std::uint64_t retransmits = 0;

@@ -7,7 +7,11 @@
 // (mykil_sim --chaos <seed> --area-split --chaos-json <path>) and edits
 // nothing else.
 //
-//   chaos_golden <path/to/BENCH_chaos.json>
+//   chaos_golden <path/to/BENCH_chaos.json> [workers]
+//
+// With `workers` every row reruns at that worker count instead of the one
+// it records. The digest must not change: worker count changes wall time
+// only, never results.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,8 +38,18 @@ std::string field(const std::string& line, const std::string& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: chaos_golden <BENCH_chaos.json>\n");
+  // 0: rerun each row at the worker count it records.
+  unsigned workers_override = 0;
+  bool bad_workers = false;
+  if (argc == 3) {
+    char* end = nullptr;
+    unsigned long w = std::strtoul(argv[2], &end, 10);
+    bad_workers = *end != '\0' || w == 0 || w > 64;
+    workers_override = static_cast<unsigned>(w);
+  }
+  if (argc < 2 || argc > 3 || bad_workers) {
+    std::fprintf(stderr,
+                 "usage: chaos_golden <BENCH_chaos.json> [workers 1..64]\n");
     return 2;
   }
   std::ifstream in(argv[1]);
@@ -59,10 +73,11 @@ int main(int argc, char** argv) {
     }
     mykil::workload::ChaosOptions opt;
     opt.seed = std::strtoull(seed.c_str(), nullptr, 10);
-    opt.workers = workers.empty()
-                      ? 1u
-                      : static_cast<unsigned>(
-                            std::strtoul(workers.c_str(), nullptr, 10));
+    opt.workers = workers_override;
+    if (opt.workers == 0)
+      opt.workers = workers.empty() ? 1u
+                                    : static_cast<unsigned>(std::strtoul(
+                                          workers.c_str(), nullptr, 10));
     opt.dynamic_areas = field(line, "dynamic_areas") == "true";
     mykil::workload::ChaosReport rep = mykil::workload::run_chaos(opt);
 
@@ -70,9 +85,10 @@ int main(int argc, char** argv) {
     std::snprintf(got, sizeof got, "%016llx",
                   static_cast<unsigned long long>(rep.digest));
     const bool ok = rep.converged() && digest == got;
-    std::printf("chaos_golden: seed %s %s digest %s (recorded %s)%s\n",
-                seed.c_str(), rep.converged() ? "CONVERGED" : "FAILED", got,
-                digest.c_str(), ok ? "" : "  <-- MISMATCH");
+    std::printf(
+        "chaos_golden: seed %s workers %u %s digest %s (recorded %s)%s\n",
+        seed.c_str(), opt.workers, rep.converged() ? "CONVERGED" : "FAILED",
+        got, digest.c_str(), ok ? "" : "  <-- MISMATCH");
     if (!ok) ++failures;
   }
   if (rows == 0) {

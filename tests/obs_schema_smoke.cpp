@@ -11,7 +11,10 @@
 //      legitimately sharding-dependent series) is excluded;
 //   3. the chaos digest is bit-identical with and without the whole
 //      observability stack, at both worker counts;
-//   4. the Chrome trace parses and reports its drop counter.
+//   4. the Chrome trace parses and reports its drop counter;
+//   5. the per-trigger recovery counters (member.key_recovery_requests.
+//      <trigger>, ac.uplink_recovery_requests.<trigger>) add up to their
+//      totals in every sample.
 //
 // This is deliberately a consumer-side test: it only looks at the bytes a
 // user would read off disk, never at internal state.
@@ -121,6 +124,19 @@ std::uint64_t field_u64(const std::string& line, const char* key) {
   return std::strtoull(line.c_str() + p + pat.size(), nullptr, 10);
 }
 
+/// Sum of every `"<prefix>.<suffix>": <n>` counter in one JSONL line.
+std::uint64_t sum_prefixed(const std::string& line, const std::string& prefix) {
+  const std::string pat = "\"" + prefix + ".";
+  std::uint64_t sum = 0;
+  for (std::size_t p = line.find(pat); p != std::string::npos;
+       p = line.find(pat, p + 1)) {
+    std::size_t colon = line.find("\": ", p + pat.size());
+    if (colon == std::string::npos) break;
+    sum += std::strtoull(line.c_str() + colon + 3, nullptr, 10);
+  }
+  return sum;
+}
+
 /// Remove one `"key": {...}` histogram entry (flat object) plus the comma
 /// that separated it from its neighbours. Used to mask net.queue_depth —
 /// the per-shard heap-depth gauge whose shape legitimately depends on
@@ -202,6 +218,8 @@ int main() {
   std::uint64_t prev_seq = ~0ull, prev_ts = 0;
   bool all_parse = true, all_tagged = true, seq_ok = true, ts_ok = true;
   bool keys_ok = true;
+  bool triggers_add_up = true;
+  std::uint64_t member_requests = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++lines;
@@ -217,6 +235,13 @@ int main() {
     for (const char* key : {"\"counters\": {", "\"gauges\": {",
                             "\"histograms\": {"})
       if (line.find(key) == std::string::npos) keys_ok = false;
+    for (const char* total :
+         {"member.key_recovery_requests", "ac.uplink_recovery_requests"}) {
+      std::uint64_t t = field_u64(line, total);
+      if (t == ~0ull) t = 0;  // not touched yet
+      if (sum_prefixed(line, total) != t) triggers_add_up = false;
+    }
+    member_requests = field_u64(line, "member.key_recovery_requests");
   }
   check(lines == observed[0].samples, "one JSONL line per sample");
   check(all_parse, "every JSONL line parses as JSON");
@@ -224,6 +249,9 @@ int main() {
   check(seq_ok, "seq column counts 0,1,2,...");
   check(ts_ok, "ts_us column strictly increases");
   check(keys_ok, "counters/gauges/histograms sections present");
+  check(member_requests != ~0ull && member_requests > 0,
+        "chaos run made member key-recovery requests");
+  check(triggers_add_up, "per-trigger recovery counts add up to totals");
 
   // ---- worker invariance (minus the per-shard queue gauge) ----
   check(observed[0].samples == observed[1].samples,

@@ -6,9 +6,7 @@
 
 #include "common/error.h"
 #include "crypto/prng.h"
-#include "lkh/member_state.h"
 #include "lkh/rekey.h"
-#include "mykil/checkpoint.h"
 #include "mykil/directory.h"
 #include "mykil/ticket.h"
 #include "mykil/wire.h"
@@ -249,28 +247,6 @@ TEST(WireFuzz, JoinShedBodySurvivesGarbage) {
         r.expect_done();
       },
       114);
-}
-
-TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
-  fuzz([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, 115);
-  // A structurally valid prefix (magic + header fields) with trailing
-  // records; every mutation and truncation must throw, not crash.
-  WireWriter w;
-  const char magic[8] = {'M', 'Y', 'K', 'I', 'L', 'C', 'K', '1'};
-  w.raw(ByteView(reinterpret_cast<const std::uint8_t*>(magic), 8));
-  w.u64(7);    // seed
-  w.u32(3);    // areas
-  w.u32(12);   // members
-  w.u8(1);     // with_backups
-  w.u64(500);  // captured_at
-  w.bytes(to_bytes("rs-state"));
-  mutate([](const Bytes& b) { (void)core::read_checkpoint_header(b); },
-         w.data());
-}
-
-TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {
-  // Checkpointed member key blocks travel inside the checkpoint blob.
-  fuzz([](const Bytes& b) { lkh::MemberKeyState::deserialize(b); }, 116);
 }
 
 TEST(WireFuzz, RekeyRoundTripIsExact) {
